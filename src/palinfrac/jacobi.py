@@ -6,13 +6,21 @@ b_0..b_{N-1} drives the normalized three-term recurrence
     x p_k(x) = b_k p_{k+1}(x) + a_k p_k(x) + b_{k-1} p_{k-1}(x),
 
 seeded with p_{-1} = 0, p_0 = 1 and the boundary conventions
-b_{-1} = b_N = 1.  The values (p_0(x), ..., p_{N+1}(x)) form a Sturm
-sequence: the number of sign changes equals the number of eigenvalues of H
-strictly greater than x.  That count powers the bisection eigenvalue
-solver below, which therefore exercises the recurrence itself instead of
-delegating to a dense solver.  The last value p_{N+1}(x) equals
+b_{-1} = b_N = 1.  The last value p_{N+1}(x) equals
 det(xI - H) / (b_0...b_{N-1}); `charpoly_check` verifies this against an
 independent leading-minor recurrence.
+
+Ratios of consecutive values are the pivots of H - xI = L D L^T,
+
+    q_k = -b_k p_{k+1}(x) / p_k(x) = (a_k - x) - b_{k-1}^2 / q_{k-1},
+
+the same recurrence in a form that neither overflows nor underflows.  By
+Sylvester's law of inertia the number of negative pivots is the number of
+eigenvalues below x; that count, taken for many shifts at once, drives
+the bisection eigenvalue solver, which therefore exercises the recurrence
+itself instead of delegating to a dense solver.  Run from both ends, the
+pivots give twisted factorizations and with them every eigenvector in
+O(N) (Dhillon & Parlett).
 
 Everything in this module runs in 64-bit floating point; exact rationals
 enter only through the explicit conversion in `from_jfraction`.
@@ -39,6 +47,7 @@ __all__ = [
     "truncate_first",
     "eigenvalues",
     "eigenvector",
+    "eigenvectors",
     "is_persymmetric",
     "gershgorin_interval",
 ]
@@ -58,6 +67,8 @@ class JacobiMatrix:
             raise ValueError("a Jacobi matrix needs at least one diagonal entry")
         if len(offdiag) != len(diag) - 1:
             raise ValueError(f"need len(offdiag) = len(diag) - 1, got {len(offdiag)} vs {len(diag)}")
+        if not all(map(math.isfinite, diag + offdiag)):
+            raise ValueError("matrix entries must be finite")
         if any(b <= 0 for b in offdiag):
             raise ValueError("off-diagonal entries must be strictly positive")
         object.__setattr__(self, "diag", diag)
@@ -94,8 +105,10 @@ class Spectrum:
         tolerance = float(tolerance)
         if not eigenvalues:
             raise ValueError("a spectrum needs at least one eigenvalue")
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not all(map(math.isfinite, eigenvalues)):
+            raise ValueError("eigenvalues must be finite")
+        if not (0 < tolerance < math.inf):
+            raise ValueError("tolerance must be positive and finite")
         for left, right in zip(eigenvalues, eigenvalues[1:]):
             if right - left <= tolerance:
                 raise DegenerateSpectrum(
@@ -168,51 +181,74 @@ def gershgorin_interval(H: JacobiMatrix) -> tuple[float, float]:
     return lo, hi
 
 
-def _eigs_greater(H: JacobiMatrix, x: float) -> int:
-    """Sign changes in the Sturm sequence at x = number of eigenvalues > x.
+def _scaled(H: JacobiMatrix) -> tuple[list[float], list[float], float]:
+    """Diagonal and off-diagonal of H times the power of 2 that brings its
+    largest entry into [1, 2), and that factor.
 
-    Runs the recurrence with on-the-fly rescaling so the count survives
-    value over/underflow; rescaling by a positive factor preserves signs.
+    The scaling is exact, except for entries more than 2^1021 times smaller
+    than the largest, which lie far below its rounding anyway; the b^2 of
+    the pivot recurrence then cannot overflow (LAPACK dstevx scales too).
     """
-    left, right = _boundary_couplings(H)
-    changes = 0
-    last_sign = 1  # p_0 = 1
-    prev, cur = 0.0, 1.0
-    for k in range(H.size):
-        prev, cur = cur, ((x - H.diag[k]) * cur - left[k] * prev) / right[k]
-        magnitude = max(abs(prev), abs(cur))
-        if magnitude > 1e150:
-            prev *= 1e-150
-            cur *= 1e-150
-        elif 0.0 < magnitude < 1e-150:
-            prev *= 1e150
-            cur *= 1e150
-        if cur > 0:
-            sign = 1
-        elif cur < 0:
-            sign = -1
-        else:
-            continue  # exact zero: neighbors have opposite signs, skip it
-        if sign != last_sign:
-            changes += 1
-            last_sign = sign
-    return changes
+    factor = 2.0 ** (1 - math.frexp(max(map(abs, H.diag + H.offdiag)))[1])
+    return [a * factor for a in H.diag], [b * factor for b in H.offdiag], factor
 
 
-def _count_leq(H: JacobiMatrix, x: float) -> int:
-    """Number of eigenvalues in (-inf, x]."""
-    return H.size - _eigs_greater(H, x)
+def _pivots(diag, offdiag, shifts: np.ndarray, reverse: bool = False):
+    """Pivots q_k = (a_k - x) - b_{k-1}^2 / q_{k-1} of H - xI = L D L^T for
+    every shift x at once, yielded one row per k together with the mask of
+    its negative entries; with ``reverse`` the recurrence runs from the
+    last site back to the first.
+
+    A pivot smaller in magnitude than pivmin = tiny * max(1, max b^2)
+    becomes -pivmin before anyone reads it (the LAPACK dstebz guard), so
+    b^2 / q never exceeds 1 / tiny and an exact eigenvalue hit counts as
+    lying below the shift.
+    """
+    if reverse:
+        diag, offdiag = diag[::-1], offdiag[::-1]
+    coupling_sq = [b * b for b in offdiag]
+    pivmin = sys.float_info.min * max([1.0, *coupling_sq])
+    pivot = diag[0] - shifts
+    for k in range(len(diag)):
+        if k:
+            pivot = (diag[k] - shifts) - coupling_sq[k - 1] / pivot
+        negative = pivot < pivmin
+        np.minimum(pivot, -pivmin, out=pivot, where=negative)
+        yield pivot, negative
+
+
+def _count_less(H: JacobiMatrix, shifts) -> np.ndarray:
+    """Number of eigenvalues below each shift: by Sylvester's law of inertia,
+    the number of negative pivots of H - xI."""
+    diag, offdiag, factor = _scaled(H)
+    shifts = np.asarray(shifts, dtype=float) * factor
+    count = np.zeros(shifts.shape, dtype=np.intp)
+    for _, negative in _pivots(diag, offdiag, shifts):
+        count += negative
+    return count
+
+
+def _to_keys(x) -> np.ndarray:
+    """Integer keys that order doubles as their values do (-0.0 and 0.0
+    alike): consecutive doubles have consecutive keys."""
+    bits = np.asarray(x, dtype=float).view(np.int64)
+    return np.where(bits < 0, -(bits & np.int64(2**63 - 1)), bits)
+
+
+def _from_keys(keys: np.ndarray) -> np.ndarray:
+    return np.copysign(np.abs(keys).view(np.float64), keys)
 
 
 def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     """All eigenvalues by Sturm-count bisection inside the Gershgorin bracket.
 
-    Each root is bisected until the bracket stops shrinking in floating
-    point, so the returned values are accurate to a few ulps regardless of
-    ``tol``; ``tol`` (default 1e-12 scaled by the Gershgorin radius) is the
-    separation the resulting Spectrum certifies.  Raises ToleranceTooLoose
-    when ``tol`` exceeds the best possible eigenvalue gap or any computed
-    gap fails it.
+    The N brackets bisect together, one pivot count over all midpoints per
+    step.  Each root is bisected until the bracket stops shrinking in
+    floating point, so the returned values are accurate to a few ulps (near
+    0, to the pivot guard pivmin ~ 1e-308) regardless of ``tol``; ``tol``
+    (default 1e-12 scaled by the Gershgorin radius) is the separation the
+    resulting Spectrum certifies.  Raises ToleranceTooLoose when ``tol``
+    exceeds the best possible eigenvalue gap or any computed gap fails it.
     """
     n = H.size
     lo, hi = gershgorin_interval(H)
@@ -230,21 +266,22 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
             f"of {n} eigenvalues inside the Gershgorin interval"
         )
     pad = 16 * sys.float_info.epsilon * scale
-    lo -= pad
-    hi += pad
-    found = []
-    for k in range(n):
-        a, b = lo, hi
-        # invariant: count_leq(a) <= k < count_leq(b)
-        while True:
-            mid = 0.5 * (a + b)
-            if not (a < mid < b):
-                break
-            if _count_leq(H, mid) >= k + 1:
-                b = mid
-            else:
-                a = mid
-        found.append(0.5 * (a + b))
+    # Bisect the keys of the bracket ends, not their values: the bracket
+    # holds fewer than 2^64 doubles, so every root is done within 64 steps,
+    # where halving the width would walk ~1000 steps through the subnormals
+    # towards an eigenvalue 0 that a bracket end hits exactly.
+    # invariant: count_less at lower[k] <= k < count_less at upper[k]
+    lower = np.full(n, _to_keys(lo - pad))
+    upper = np.full(n, _to_keys(hi + pad))
+    index = np.arange(n)
+    while True:
+        mid = (lower >> 1) + (upper >> 1) + (lower & upper & 1)  # floor((lower + upper) / 2)
+        if not (mid > lower).any():  # no midpoint strictly inside its bracket
+            break
+        above = _count_less(H, _from_keys(mid)) > index
+        upper = np.where(above, mid, upper)
+        lower = np.where(above, lower, mid)
+    found = 0.5 * (_from_keys(lower) + _from_keys(upper))
     for left_val, right_val in zip(found, found[1:]):
         if right_val - left_val <= tol:
             raise ToleranceTooLoose(
@@ -253,23 +290,62 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     return Spectrum(found, tol)
 
 
-def eigenvector(H: JacobiMatrix, lam: float) -> np.ndarray:
-    """Unit eigenvector (p_0(lam), ..., p_N(lam)) / norm for the eigenvalue lam.
+def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:
+    """Unit eigenvectors of H as columns, one per eigenvalue in lams, by
+    twisted factorization.
 
-    The residual ||Hv - lam v|| must come out within 1e-8 * ||H||_inf,
-    otherwise lam is not (close enough to) an eigenvalue.
+    For each lam the forward pivots D+ and backward pivots D- of H - lam I
+    give gamma_k = D+_k + D-_k - (a_k - lam), the reciprocal of the k-th
+    diagonal entry of (H - lam I)^{-1}; at the twist r = argmin |gamma_k|
+    the solution of (H - lam I) z = gamma_r e_r is the eigenvector, found
+    outward from z_r = 1 in O(N).  The sign makes the first component
+    positive.  Every residual ||Hv - lam v|| must come out within
+    1e-8 * ||H||_inf, otherwise NotAnEigenvalue is raised.
     """
-    values = normalized_poly_sequence(H, lam)
-    v = np.asarray(values[:-1], dtype=float)
-    v /= np.linalg.norm(v)
-    dense = H.dense()
-    residual = float(np.linalg.norm(dense @ v - lam * v))
-    matrix_norm = float(np.abs(dense).sum(axis=1).max())
-    if residual > 1e-8 * matrix_norm:
+    diag, offdiag, factor = _scaled(H)
+    lams = np.asarray(tuple(lams), dtype=float) * factor
+    n = H.size
+    forward = np.empty((n, lams.size))
+    backward = np.empty((n, lams.size))
+    for k, (pivot, _) in enumerate(_pivots(diag, offdiag, lams)):
+        forward[k] = pivot
+    for k, (pivot, _) in enumerate(_pivots(diag, offdiag, lams, reverse=True)):
+        backward[n - 1 - k] = pivot
+    diag, off = np.asarray(diag), np.asarray(offdiag)
+    vectors = forward + backward  # gamma, then the solution, in one array
+    vectors -= diag[:, None]
+    vectors += lams
+    twist = np.abs(vectors, out=vectors).argmin(axis=0)
+    vectors.fill(0.0)
+    vectors[twist, np.arange(lams.size)] = 1.0
+    for k in range(n - 2, -1, -1):
+        np.divide(-off[k] * vectors[k + 1], forward[k], out=vectors[k], where=k < twist)
+    for k in range(1, n):
+        np.divide(-off[k - 1] * vectors[k - 1], backward[k], out=vectors[k], where=k > twist)
+    del forward, backward
+    signs = np.where(vectors[0] < 0, -1.0, 1.0)
+    vectors *= signs / np.sqrt(np.einsum("ij,ij->j", vectors, vectors))
+
+    residual = vectors * np.subtract.outer(diag, lams)
+    residual[:-1] += off[:, None] * vectors[1:]
+    residual[1:] += off[:, None] * vectors[:-1]
+    worst = float(np.sqrt(np.einsum("ij,ij->j", residual, residual)).max())
+    row_sums = np.abs(diag)
+    row_sums[:-1] += off
+    row_sums[1:] += off
+    bound = 1e-8 * float(row_sums.max())
+    if not worst <= bound:
         raise NotAnEigenvalue(
-            f"residual {residual:.3e} exceeds 1e-8 * ||H|| = {1e-8 * matrix_norm:.3e}"
+            f"residual {worst / factor:.3e} exceeds 1e-8 * ||H|| = {bound / factor:.3e}"
         )
-    return v
+    return vectors
+
+
+def eigenvector(H: JacobiMatrix, lam: float) -> np.ndarray:
+    """Unit eigenvector for the eigenvalue lam with a positive first
+    component: the one-column case of `eigenvectors`, which raises
+    NotAnEigenvalue when lam is not (close enough to) an eigenvalue."""
+    return eigenvectors(H, (lam,))[:, 0]
 
 
 def is_persymmetric(H: JacobiMatrix, tol: float) -> bool:

@@ -16,7 +16,8 @@ checked against the phase condition before it is returned.
 
 `design_persymmetric` inverts the problem: given a prescribed spectrum it
 forms the spectral weights w_k^2 proportional to
-1 / prod_{j != k} |lambda_k - lambda_j| (normalized to sum 1) and runs a
+1 / prod_{j != k} |lambda_k - lambda_j| (summed as logarithms, so the
+product cannot overflow, and normalized to sum 1) and runs a
 fully reorthogonalized Lanczos pass on the diagonal eigenvalue matrix
 started from the weight vector, reading the chain off the recurrence
 coefficients.  The weight formula is not taken on faith: the construction
@@ -44,7 +45,7 @@ from .jacobi import (
     JacobiMatrix,
     Spectrum,
     eigenvalues,
-    eigenvector,
+    eigenvectors,
     gershgorin_interval,
     is_persymmetric,
 )
@@ -117,8 +118,7 @@ class AmplitudeTrace:
 
 def _eigensystem(H: JacobiMatrix, tol: float | None = None) -> tuple[Spectrum, np.ndarray]:
     spectrum = eigenvalues(H, tol)
-    columns = [eigenvector(H, lam) for lam in spectrum.eigenvalues]
-    return spectrum, np.column_stack(columns)
+    return spectrum, eigenvectors(H, spectrum.eigenvalues)
 
 
 def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
@@ -239,9 +239,9 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     if float(np.diff(lams).min()) <= 1e-14 * scale:
         raise DegenerateSpectrum("eigenvalues too close to resolve the weight formula")
 
-    weights_sq = np.empty(n)
-    for k in range(n):
-        weights_sq[k] = 1.0 / np.prod(np.abs(lams[k] - np.delete(lams, k)))
+    # log-space: the products overflow from N ~ 170 on (equally spaced spectrum)
+    log_weights = np.array([-np.log(np.abs(lams[k] - np.delete(lams, k))).sum() for k in range(n)])
+    weights_sq = np.exp(log_weights - log_weights.max())
     weights_sq /= weights_sq.sum()
     start = np.sqrt(weights_sq)
 

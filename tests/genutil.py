@@ -1,7 +1,8 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and closed-form chains shared by the test modules."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -103,6 +104,13 @@ def random_persymmetric(rng: random.Random, size: int, min_gap: float = 1e-3) ->
         eigs = np.linalg.eigvalsh(matrix.dense())
         if float(np.diff(eigs).min()) >= min_gap:
             return matrix
+
+
+def krawtchouk(n: int) -> JacobiMatrix:
+    """Closed-form chain b_k = sqrt((k+1)(n-k-1))/2: spectrum k - (n-1)/2,
+    perfect transfer at T = pi, first eigenvector components squared
+    binom(n-1, k) / 2^(n-1)."""
+    return JacobiMatrix((0.0,) * n, [math.sqrt((k + 1) * (n - k - 1)) / 2 for k in range(n - 1)])
 
 
 def perturb_asymmetric(H: JacobiMatrix, rng: random.Random, amount: float = 0.3) -> JacobiMatrix:

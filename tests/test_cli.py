@@ -141,6 +141,19 @@ class TestJacobi:
         result = runner.invoke(main, ["jacobi", "eig", files["broken"]])
         assert result.exit_code == 2
 
+    def test_nan_literal_is_usage_error(self, runner, tmp_path):
+        # json.load accepts NaN; the constructors must not
+        matrix = tmp_path / "nan_matrix.json"
+        matrix.write_text('{"diag": [0.0, NaN], "offdiag": [1.0]}')
+        spectrum = tmp_path / "nan_spectrum.json"
+        spectrum.write_text('{"eigenvalues": [0.0, NaN]}')
+        result = runner.invoke(main, ["jacobi", "eig", str(matrix)])
+        assert result.exit_code == 2
+        assert "bad Jacobi matrix" in result.stderr
+        result = runner.invoke(main, ["pst", "design", str(spectrum)])
+        assert result.exit_code == 2
+        assert "bad spectrum" in result.stderr
+
 
 class TestPst:
     def test_verify(self, runner, files):

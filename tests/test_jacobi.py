@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from genutil import random_jacobi
+from genutil import krawtchouk, random_jacobi
 from palinfrac.errors import (
     DegenerateSpectrum,
     NotAnEigenvalue,
@@ -15,9 +15,11 @@ from palinfrac.errors import (
 from palinfrac.jacobi import (
     JacobiMatrix,
     Spectrum,
+    _count_less,
     charpoly_check,
     eigenvalues,
     eigenvector,
+    eigenvectors,
     from_jfraction,
     gershgorin_interval,
     is_persymmetric,
@@ -35,6 +37,26 @@ class TestTypes:
             JacobiMatrix((0.0, 0.0), ())
         with pytest.raises(ValueError):
             JacobiMatrix((0.0, 0.0), (-1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_matrix_rejects_non_finite_diag(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            JacobiMatrix((0.0, bad), (1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_matrix_rejects_non_finite_offdiag(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            JacobiMatrix((0.0, 0.0), (bad,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_spectrum_rejects_non_finite_eigenvalues(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum((0.0, bad), 1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_spectrum_rejects_non_finite_tolerance(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum((0.0, 1.0), bad)
 
     def test_dense(self):
         m = JacobiMatrix((1.0, 2.0), (3.0,)).dense()
@@ -150,13 +172,34 @@ class TestEigenvalues:
             assert np.abs(ours - reference).max() <= 1e-10
 
     def test_sturm_count_totals(self, chain3):
-        from palinfrac.jacobi import _count_leq
-
         lo, hi = gershgorin_interval(chain3)
-        assert _count_leq(chain3, lo - 1e-9) == 0
-        assert _count_leq(chain3, hi + 1e-9) == 3
-        assert _count_leq(chain3, 0.5) == 2
-        assert _count_leq(chain3, 0.0) == 2  # half-open: the eigenvalue 0 counts
+        counts = _count_less(chain3, [lo - 1e-9, hi + 1e-9, 0.5, 0.0])
+        # the zero pivot at the eigenvalue 0 turns negative: an exact hit counts as below
+        assert counts.tolist() == [0, 3, 2, 2]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b", [1e-200, 1e200])
+    def test_extreme_scales(self, b):
+        # b^2 under- or overflows unless the matrix is scaled first
+        h = JacobiMatrix((0.0, 0.0, 0.0), (b, b))
+        spec = eigenvalues(h, tol=1e-3 * b)
+        expected = (-math.sqrt(2) * b, 0.0, math.sqrt(2) * b)
+        assert spec.eigenvalues == pytest.approx(expected, rel=1e-14, abs=1e-14 * b)
+        v = eigenvector(h, spec.eigenvalues[2])
+        assert v == pytest.approx([0.5, math.sqrt(0.5), 0.5], abs=1e-14)
+
+    def test_count_matches_sturm_sign_changes(self):
+        # reference: sign changes of (p_0(x), ..., p_{N+1}(x)) count the eigenvalues above x
+        rng = random.Random(59)
+        for _ in range(20):
+            h = random_jacobi(rng, rng.randint(1, 12))
+            eigs = np.linalg.eigvalsh(h.dense())
+            points = [rng.uniform(-5.0, 5.0) for _ in range(50)]
+            shifts = [x for x in points if np.abs(eigs - x).min() > 1e-9]
+            for x, below in zip(shifts, _count_less(h, shifts)):
+                signs = [math.copysign(1.0, v) for v in normalized_poly_sequence(h, x) if v != 0.0]
+                changes = sum(left != right for left, right in zip(signs, signs[1:]))
+                assert below == h.size - changes
 
     def test_gershgorin_contains_spectrum(self):
         rng = random.Random(41)
@@ -203,6 +246,65 @@ class TestEigenvector:
             dense = h.dense()
             scale = np.abs(dense).max()
             assert np.abs(rebuilt - dense).max() <= 1e-8 * scale
+
+    def test_batched_columns_match_single_vectors(self):
+        rng = random.Random(53)
+        h = random_jacobi(rng, 9)
+        lams = eigenvalues(h).eigenvalues
+        basis = eigenvectors(h, lams)
+        for k, lam in enumerate(lams):
+            assert np.abs(basis[:, k] - eigenvector(h, lam)).max() <= 1e-14
+
+    def test_zero_pivot_at_eigenvalue_zero(self):
+        # zero diagonal, odd size: the pivots at lam = 0 alternate between
+        # zero (guarded) and huge, and the eigenvector vanishes on odd sites
+        h = JacobiMatrix((0.0,) * 5, (1.0, 2.0, 0.5, 3.0))
+        v = eigenvector(h, 0.0)
+        expected = np.array([1.0, 0.0, -0.5, 0.0, 0.5 * 0.5 / 3.0])
+        assert v == pytest.approx(expected / np.linalg.norm(expected), abs=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+class TestKrawtchoukScale:
+    @pytest.mark.parametrize("n", [64, 65, 256, 1024])
+    def test_eigenvalues(self, n):
+        computed = np.asarray(eigenvalues(krawtchouk(n)).eigenvalues)
+        assert np.abs(computed - (np.arange(n) - (n - 1) / 2)).max() <= 1e-12 * n
+
+    def test_counts_at_exact_eigenvalues(self):
+        # every shift is an exact eigenvalue, so a pivot hits zero; guarded
+        # before it is counted, the count is k or k + 1, never off by more
+        n = 1024
+        h = krawtchouk(n)
+        exact = np.arange(n) - (n - 1) / 2
+        assert set((_count_less(h, exact) - np.arange(n)).tolist()) <= {0, 1}
+        assert _count_less(h, exact + 0.5).tolist() == list(range(1, n + 1))
+
+    def test_bisection_ends_within_64_counts(self, monkeypatch):
+        # odd size: the eigenvalue 0 is hit exactly by a bracket end
+        import palinfrac.jacobi as jacobi_module
+
+        shifts = []
+        count = jacobi_module._count_less
+
+        def counting(h, x):
+            shifts.append(x)
+            return count(h, x)
+
+        monkeypatch.setattr(jacobi_module, "_count_less", counting)
+        # resolved to pivmin = tiny * max b^2, the width of the pivot guard
+        assert abs(eigenvalues(krawtchouk(65)).eigenvalues[32]) <= 1e-300
+        assert len(shifts) <= 64
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_eigenvectors_first_components(self, n):
+        h = krawtchouk(n)
+        basis = eigenvectors(h, np.arange(n) - (n - 1) / 2)
+        log_binomials = [math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k) for k in range(n)]
+        weights = [math.exp(b - (n - 1) * math.log(2)) for b in log_binomials]
+        assert (basis[0] > 0).all()
+        assert np.abs(basis[0] ** 2 - weights).max() <= 1e-12
+        assert np.abs(basis.T @ basis - np.eye(n)).max() <= 1e-12
 
 
 class TestPersymmetry:

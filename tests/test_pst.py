@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from genutil import perturb_asymmetric, random_jacobi, random_persymmetric
+from genutil import krawtchouk, perturb_asymmetric, random_jacobi, random_persymmetric
 from palinfrac.errors import (
     DegenerateSpectrum,
     IncommensurableSpectrum,
@@ -169,6 +169,26 @@ class TestDesign:
         cert = verify_pst(h)
         assert cert.T == pytest.approx(math.pi, rel=1e-12)
         assert fidelity(h, cert.T) >= 1.0 - 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+class TestKrawtchoukScale:
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_verify(self, n):
+        assert verify_pst(krawtchouk(n)).T == pytest.approx(math.pi, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_evolve_transfers_at_pi(self, n):
+        trace = evolve(krawtchouk(n), (0.0, math.pi))
+        assert abs(trace.amplitudes[0][0]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(trace.amplitudes[1][-1]) ** 2 >= 1.0 - 1e-10
+
+    def test_design_verify_round_trip_256(self):
+        # the equally spaced spectrum overflowed prod |lambda_k - lambda_j|
+        n = 256
+        h = design_persymmetric(Spectrum([k - (n - 1) / 2 for k in range(n)], 1e-9))
+        assert np.abs(np.asarray(h.offdiag) - krawtchouk(n).offdiag).max() <= 1e-9
+        assert verify_pst(h).T == pytest.approx(math.pi, abs=1e-10)
 
 
 class TestPhaseCheck:

@@ -30,8 +30,18 @@ from .errors import PalinfracError
 from .polynomial import Polynomial
 
 
+def _checked_tol(value, source: str) -> float:
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise click.UsageError(f"{source} {value!r} is not a positive finite tolerance")
+    return tol
+
+
 def _default_tol() -> float:
-    return float(os.environ.get("PALINFRAC_TOL", "1e-12"))
+    return _checked_tol(os.environ.get("PALINFRAC_TOL", "1e-12"), "PALINFRAC_TOL")
 
 
 def _emit(payload) -> None:
@@ -228,8 +238,7 @@ def jacobi() -> None:
 def jacobi_eig(hfile: str, tol: float | None) -> None:
     """Eigenvalues by Sturm bisection."""
     matrix = _load_matrix(hfile)
-    if tol is None:
-        tol = _default_tol()
+    tol = _default_tol() if tol is None else _checked_tol(tol, "--tol")
     spectrum = jacobi_mod.eigenvalues(matrix, tol)
     _emit({"eigenvalues": list(spectrum.eigenvalues), "tolerance": spectrum.tolerance})
 
@@ -260,7 +269,7 @@ def pst_design(specfile: str) -> None:
     data = _load_json(specfile)
     try:
         values = data["eigenvalues"]
-        tolerance = float(data.get("tolerance", _default_tol()))
+        tolerance = float(data["tolerance"]) if "tolerance" in data else _default_tol()
         spectrum = jacobi_mod.Spectrum(values, tolerance)
     except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"{specfile}: bad spectrum: {exc}")

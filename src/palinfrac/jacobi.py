@@ -193,6 +193,11 @@ def _scaled(H: JacobiMatrix) -> tuple[list[float], list[float], float]:
     return [a * factor for a in H.diag], [b * factor for b in H.offdiag], factor
 
 
+def _pivmin(offdiag) -> float:
+    """The pivot guard tiny * max(1, max b^2) of the scaled couplings."""
+    return sys.float_info.min * max([1.0, *(b * b for b in offdiag)])
+
+
 def _pivots(diag, offdiag, shifts: np.ndarray, reverse: bool = False):
     """Pivots q_k = (a_k - x) - b_{k-1}^2 / q_{k-1} of H - xI = L D L^T for
     every shift x at once, yielded one row per k together with the mask of
@@ -207,7 +212,7 @@ def _pivots(diag, offdiag, shifts: np.ndarray, reverse: bool = False):
     if reverse:
         diag, offdiag = diag[::-1], offdiag[::-1]
     coupling_sq = [b * b for b in offdiag]
-    pivmin = sys.float_info.min * max([1.0, *coupling_sq])
+    pivmin = _pivmin(offdiag)
     pivot = diag[0] - shifts
     for k in range(len(diag)):
         if k:
@@ -255,8 +260,8 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     scale = max(1.0, abs(lo), abs(hi))
     if tol is None:
         tol = 1e-12 * scale
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if n == 1:
         return Spectrum((H.diag[0],), tol)
     span = hi - lo
@@ -282,6 +287,8 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
         upper = np.where(above, mid, upper)
         lower = np.where(above, lower, mid)
     found = 0.5 * (_from_keys(lower) + _from_keys(upper))
+    _, offdiag, factor = _scaled(H)
+    found[np.abs(found) <= _pivmin(offdiag) / factor] = 0.0  # an eigenvalue 0 lands on -pivmin
     for left_val, right_val in zip(found, found[1:]):
         if right_val - left_val <= tol:
             raise ToleranceTooLoose(
@@ -350,7 +357,7 @@ def eigenvector(H: JacobiMatrix, lam: float) -> np.ndarray:
 
 def is_persymmetric(H: JacobiMatrix, tol: float) -> bool:
     """True iff H equals its reversal: a_k = a_{N-k}, b_n = b_{N-1-n} within tol."""
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     n = H.size
     diag_ok = all(abs(H.diag[k] - H.diag[n - 1 - k]) <= tol for k in range(n))

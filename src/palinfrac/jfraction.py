@@ -45,11 +45,10 @@ from .errors import (
     RemainderDegreeDrop,
     ZeroRemainder,
 )
-from .polynomial import ONE, X, ZERO, Polynomial, format_rational, parse_rational, poly_divmod, poly_gcd
+from .polynomial import ONE, X, ZERO, Polynomial, format_rational, parse_rational, poly_divmod, poly_gcd, three_term
 
 __all__ = [
     "JFraction",
-    "RecurrencePair",
     "JPalindromeDecision",
     "jstep",
     "expand_jfraction",
@@ -98,24 +97,6 @@ class JFraction:
             (parse_rational(v) for v in obj["a"]),
             (parse_rational(v) for v in obj["b2"]),
         )
-
-
-@dataclass(frozen=True)
-class RecurrencePair:
-    """Full recurrence output P_{-1}..P_{N+1} and Q_{-1}..Q_{N+1}.
-
-    Subscript k lives at tuple index k + 1 (seeds P_{-1} = 0, P_0 = 1,
-    Q_{-1} = -1, Q_0 = 0 come first); use :meth:`p_of` / :meth:`q_of`.
-    """
-
-    P: tuple[Polynomial, ...]
-    Q: tuple[Polynomial, ...]
-
-    def p_of(self, k: int) -> Polynomial:
-        return self.P[k + 1]
-
-    def q_of(self, k: int) -> Polynomial:
-        return self.Q[k + 1]
 
 
 @dataclass(frozen=True)
@@ -191,18 +172,12 @@ def expand_jfraction(Q: Polynomial, P: Polynomial) -> JFraction:
     return JFraction(a_terms, b2_terms)
 
 
-def jfraction_to_rational(jf: JFraction) -> tuple[Polynomial, Polynomial, RecurrencePair]:
-    """Run the three-term recurrences; returns (Q_{N+1}, P_{N+1}, sequences)."""
-    n_levels = len(jf.a)
-    ps = [ZERO, ONE]
-    qs = [-ONE, ZERO]
-    for k in range(n_levels):
-        factor = X - Polynomial((jf.a[k],))
-        b2 = jf.b2[k - 1] if k >= 1 else Fraction(1)  # b_{-1} = 1
-        ps.append(factor * ps[-1] - b2 * ps[-2])
-        qs.append(factor * qs[-1] - b2 * qs[-2])
-    rec = RecurrencePair(tuple(ps), tuple(qs))
-    return rec.q_of(n_levels), rec.p_of(n_levels), rec
+def jfraction_to_rational(jf: JFraction) -> tuple[Polynomial, Polynomial, tuple[list, list]]:
+    """Run the three-term recurrences; returns (Q_{N+1}, P_{N+1}, (Ps, Qs))
+    with Ps[k] = P_k and Qs[k] = Q_k for k = 0..N+1."""
+    steps = [(X - Polynomial((a,)), -b2) for a, b2 in zip(jf.a, (1,) + jf.b2)]  # b_{-1} = 1
+    ps, qs = three_term(steps, (ZERO, ONE)), three_term(steps, (-ONE, ZERO))
+    return qs[-1], ps[-1], (ps, qs)
 
 
 def is_palindromic_jfraction(Q: Polynomial, P: Polynomial) -> JPalindromeDecision:

@@ -13,9 +13,9 @@ expansions such as 3/4 = [1, 2, 1] palindromic even though the canonical
 [1, 3] is not.
 
 Convergents q_k/p_k are generated with the seeds p_{-1} = 0, p_0 = 1,
-q_{-1} = 1, q_0 = 0, so both sequences satisfy the same difference
-equation u_{k+1} = a_k u_k + u_{k-1}.  All integers are arbitrary
-precision; nothing here ever rounds.
+q_{-1} = 1, q_0 = 0 by `polynomial.three_term`, so both sequences satisfy
+the same difference equation u_{k+1} = a_k u_k + u_{k-1}.  All integers
+are arbitrary precision; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import InternalCheckFailed, NotCoprime, OutOfRange
+from .polynomial import three_term
 
 __all__ = [
     "NumericCF",
@@ -119,14 +120,9 @@ def expand_euclid(q: int, p: int, form: str = "canonical") -> NumericCF:
 
 def convergents(cf: NumericCF) -> tuple[ConvergentPair, ...]:
     """Pairs (p_k, q_k) for k = 1..N+1 from the three-term recurrences."""
-    p_prev, p_cur = 0, 1
-    q_prev, q_cur = 1, 0
-    out = []
-    for a in cf.terms:
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        out.append(ConvergentPair(p=p_cur, q=q_cur))
-    return tuple(out)
+    steps = [(a, 1) for a in cf.terms]
+    ps, qs = three_term(steps, (0, 1)), three_term(steps, (1, 0))
+    return tuple(map(ConvergentPair, ps[1:], qs[1:]))
 
 
 def evaluate(cf: NumericCF) -> tuple[int, int]:

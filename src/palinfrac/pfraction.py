@@ -10,7 +10,7 @@ the expansion stops when the new remainder vanishes.  Every partial
 quotient of such a canonical expansion has degree >= 1 and the quotient
 list is unique.
 
-Reconstruction runs P_{k+1} = p_k P_k - P_{k-1} and
+Reconstruction (`polynomial.three_term`) runs P_{k+1} = p_k P_k - P_{k-1} and
 Q_{k+1} = p_k Q_k - Q_{k-1} from the seeds P_{-1} = 0, P_0 = 1,
 Q_{-1} = -1, Q_0 = 0; the Wronskian P_{k+1} Q_k - P_k Q_{k+1} = -1 holds
 identically, so the reconstructed pair is coprime and equals
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DegreeError, InternalCheckFailed, NotCoprime
-from .polynomial import ONE, ZERO, Polynomial, poly_divmod
+from .polynomial import ONE, ZERO, Polynomial, poly_divmod, three_term
 
 __all__ = [
     "PFraction",
@@ -121,13 +121,10 @@ def expand_pfraction(Q: Polynomial, P: Polynomial) -> PFraction:
 
 
 def _reconstruct_raw(pf: PFraction) -> tuple[list[Polynomial], list[Polynomial]]:
-    """Sequences P_{-1}..P_{N+1} and Q_{-1}..Q_{N+1} of the recurrence."""
-    ps = [ZERO, ONE]
-    qs = [-ONE, ZERO]
-    for quotient in pf.partial_quotients:
-        ps.append(quotient * ps[-1] - ps[-2])
-        qs.append(quotient * qs[-1] - qs[-2])
-    return ps, qs
+    """Sequences P_0..P_{N+1} and Q_0..Q_{N+1} of the recurrence, P_k and
+    Q_k at index k."""
+    steps = [(quotient, -1) for quotient in pf.partial_quotients]
+    return three_term(steps, (ZERO, ONE)), three_term(steps, (-ONE, ZERO))
 
 
 def pfraction_to_rational(pf: PFraction) -> tuple[Polynomial, Polynomial]:

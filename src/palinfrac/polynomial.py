@@ -9,8 +9,9 @@ Exact evaluation (:meth:`Polynomial.eval_exact`) and 64-bit floating
 evaluation (:meth:`Polynomial.eval_float`, Horner on converted
 coefficients) are separate code paths and are never mixed implicitly.
 
-Also provided: the Chebyshev families T_n and U_n built from their
-three-term recurrences, and the residual of the Pell-Abel identity
+`three_term` runs u_{k+1} = f_k u_k + g_k u_{k-1} over any ring: it gives
+the convergents, the J- and P-fraction reconstructions and the Chebyshev
+families T_n, U_n.  Also provided: the residual of the Pell-Abel identity
 T_n^2 - (x^2 - 1) U_{n-1}^2 = 1, which is the zero polynomial for every n.
 """
 
@@ -31,6 +32,7 @@ __all__ = [
     "format_rational",
     "poly_divmod",
     "poly_gcd",
+    "three_term",
     "chebyshev_t",
     "chebyshev_u",
     "pell_abel_residual",
@@ -123,6 +125,8 @@ class Polynomial:
                 for j, b in enumerate(other._coeffs):
                     out[i + j] += a * b
             return Polynomial(out)
+        if other == -1:  # the g = -1 steps of three_term: negating beats multiplying
+            return -self
         scalar = Fraction(other)
         return Polynomial(c * scalar for c in self._coeffs)
 
@@ -255,32 +259,35 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
-def chebyshev_t(n: int) -> Polynomial:
-    """First-kind Chebyshev polynomial from T_{n+1} = 2x T_n - T_{n-1},
-    T_0 = 1, T_1 = x; degree n with leading coefficient 2^(n-1) for n >= 1."""
+def three_term(steps: Iterable[tuple], seed: tuple) -> list:
+    """Values u_0, u_1, ..., u_n of u_{k+1} = f_k u_k + g_k u_{k-1}, one pair
+    (f_k, g_k) of ``steps`` per k, from ``seed`` = (u_{-1}, u_0); any ring
+    works (int, Fraction, Polynomial), as only ``*`` and ``+`` are used."""
+    prev, cur = seed
+    values = [cur]
+    for f, g in steps:
+        prev, cur = cur, f * cur + g * prev
+        values.append(cur)
+    return values
+
+
+def _chebyshev(n: int, before_one: Polynomial) -> Polynomial:
+    """C_n of C_{k+1} = 2x C_k - C_{k-1} with C_0 = 1, C_{-1} = ``before_one``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    prev, cur = ONE, X
-    if n == 0:
-        return prev
-    two_x = Polynomial((0, 2))
-    for _ in range(n - 1):
-        prev, cur = cur, two_x * cur - prev
-    return cur
+    return three_term([(Polynomial((0, 2)), -1)] * n, (before_one, ONE))[-1]
+
+
+def chebyshev_t(n: int) -> Polynomial:
+    """First-kind Chebyshev polynomial from T_{n+1} = 2x T_n - T_{n-1},
+    T_0 = 1, T_{-1} = x; degree n with leading coefficient 2^(n-1) for n >= 1."""
+    return _chebyshev(n, X)
 
 
 def chebyshev_u(n: int) -> Polynomial:
     """Second-kind Chebyshev polynomial from U_{n+1} = 2x U_n - U_{n-1},
-    U_0 = 1, U_1 = 2x; degree n with leading coefficient 2^n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    prev, cur = ONE, Polynomial((0, 2))
-    if n == 0:
-        return prev
-    two_x = Polynomial((0, 2))
-    for _ in range(n - 1):
-        prev, cur = cur, two_x * cur - prev
-    return cur
+    U_0 = 1, U_{-1} = 0; degree n with leading coefficient 2^n."""
+    return _chebyshev(n, ZERO)
 
 
 def pell_abel_residual(n: int) -> Polynomial:

@@ -129,7 +129,10 @@ def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     amplitudes = np.empty((len(times), H.size), dtype=complex)
     for i, t in enumerate(times):
         amplitudes[i] = basis @ (np.exp(1j * float(t) * lams) * first_components)
-    return AmplitudeTrace(times, amplitudes)
+    try:
+        return AmplitudeTrace(times, amplitudes)
+    except ValueError as exc:  # eigenvectors of close eigenvalue pairs are not reorthogonalized
+        raise InternalCheckFailed(f"evolve: {exc}") from exc
 
 
 def fidelity(H: JacobiMatrix, t: float) -> float:
@@ -187,8 +190,8 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
     multiples of pi), and fixes phi from the lowest eigenvalue.  For a
     1x1 chain any T works; T = pi is the convention here.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     lo, hi = gershgorin_interval(H)
     scale = max(1.0, abs(lo), abs(hi))
     if not is_persymmetric(H, tol * scale):

@@ -113,6 +113,12 @@ def krawtchouk(n: int) -> JacobiMatrix:
     return JacobiMatrix((0.0,) * n, [math.sqrt((k + 1) * (n - k - 1)) / 2 for k in range(n - 1)])
 
 
+def wilkinson(n: int) -> JacobiMatrix:
+    """Diagonal |k - (n-1)/2|, couplings 1: the top eigenvalues come in
+    pairs closer than 1e-8 relative (n = 15, 16)."""
+    return JacobiMatrix([abs(k - (n - 1) / 2) for k in range(n)], [1.0] * (n - 1))
+
+
 def perturb_asymmetric(H: JacobiMatrix, rng: random.Random, amount: float = 0.3) -> JacobiMatrix:
     """Break mirror symmetry by shifting one end of the diagonal."""
     diag = list(H.diag)

@@ -138,10 +138,10 @@ def test_criterion_05_liouville_ostrogradski():
     ok = True
     for _ in range(200):
         jf = random_jfraction(rng, max_n=8)
-        _, _, rec = jfraction_to_rational(jf)
+        _, _, (Ps, Qs) = jfraction_to_rational(jf)
         coupling_product = Fraction(1)
         for k in range(len(jf.a)):
-            lhs = rec.p_of(k + 1) * rec.q_of(k) - rec.p_of(k) * rec.q_of(k + 1)
+            lhs = Ps[k + 1] * Qs[k] - Ps[k] * Qs[k + 1]
             if lhs != Polynomial((-coupling_product,)):
                 ok = False
             if k < len(jf.b2):

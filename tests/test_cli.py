@@ -4,6 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from genutil import wilkinson
 from palinfrac.cli import main
 from palinfrac.jfraction import JFraction
 from palinfrac.jacobi import JacobiMatrix
@@ -137,6 +138,25 @@ class TestJacobi:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"] == "ToleranceTooLoose"
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "-1", "0", "inf"])
+    def test_bad_env_tolerance_is_usage_error(self, runner, files, value):
+        for command in (["jacobi", "eig"], ["pst", "verify"]):
+            result = runner.invoke(main, [*command, files["chain"]], env={"PALINFRAC_TOL": value})
+            assert result.exit_code == 2
+            assert "PALINFRAC_TOL" in result.stderr
+
+    def test_env_tolerance_unused_when_spectrum_file_has_one(self, runner, tmp_path):
+        spectrum = tmp_path / "spectrum.json"
+        spectrum.write_text('{"eigenvalues": [-1.0, 0.0, 1.0], "tolerance": 1e-9}')
+        result = runner.invoke(main, ["pst", "design", str(spectrum)], env={"PALINFRAC_TOL": "abc"})
+        assert result.exit_code == 0
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_bad_tol_option_is_usage_error(self, runner, files, value):
+        result = runner.invoke(main, ["jacobi", "eig", files["chain"], "--tol", value])
+        assert result.exit_code == 2
+        assert "--tol" in result.stderr
+
     def test_bad_matrix_file_is_usage_error(self, runner, files):
         result = runner.invoke(main, ["jacobi", "eig", files["broken"]])
         assert result.exit_code == 2
@@ -214,6 +234,17 @@ class TestPst:
         )
         assert result.exit_code == 0
         assert target.read_text().startswith("t,re_0,im_0")
+
+    def test_simulate_close_eigenvalue_pairs(self, runner, tmp_path):
+        # Wilkinson W15: a unitary trace or a domain error, never a traceback
+        matrix = tmp_path / "w15.json"
+        matrix.write_text(json.dumps(wilkinson(15).to_json_obj()))
+        result = runner.invoke(main, ["pst", "simulate", str(matrix), "--t1", "1", "--steps", "2"])
+        if result.exit_code == 0:
+            assert result.output.startswith("t,re_0,im_0")
+        else:
+            assert result.exit_code == 1
+            assert json.loads(result.stderr)["error"] == "InternalCheckFailed"
 
 
 class TestPfrac:

@@ -163,6 +163,23 @@ class TestEigenvalues:
         with pytest.raises(ToleranceTooLoose):
             eigenvalues(chain3, tol=10.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_bad_tolerance_before_bisection(self, chain3, tol, monkeypatch):
+        import palinfrac.jacobi as jacobi_module
+
+        def no_count(h, x):
+            raise AssertionError("bisection ran")
+
+        monkeypatch.setattr(jacobi_module, "_count_less", no_count)
+        with pytest.raises(ValueError):
+            eigenvalues(chain3, tol)
+
+    def test_eigenvalue_zero_is_positive_zero(self, chain3):
+        # the bisection lands on -pivmin, the width of the pivot guard
+        for h, k in ((chain3, 1), (krawtchouk(65), 32)):
+            value = eigenvalues(h).eigenvalues[k]
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_matches_dense_solver(self):
         rng = random.Random(37)
         for _ in range(25):
@@ -292,7 +309,7 @@ class TestKrawtchoukScale:
             return count(h, x)
 
         monkeypatch.setattr(jacobi_module, "_count_less", counting)
-        # resolved to pivmin = tiny * max b^2, the width of the pivot guard
+        # resolved to pivmin = tiny * max b^2, the width of the pivot guard, and returned as 0
         assert abs(eigenvalues(krawtchouk(65)).eigenvalues[32]) <= 1e-300
         assert len(shifts) <= 64
 
@@ -317,6 +334,12 @@ class TestPersymmetry:
         h = JacobiMatrix((0.0, 1e-9), (1.0,))
         assert is_persymmetric(h, 1e-9)
         assert not is_persymmetric(h, 1e-10)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_rejects_bad_tolerance(self, chain3, tol):
+        # NaN compares false everywhere and would read as "not persymmetric"
+        with pytest.raises(ValueError):
+            is_persymmetric(chain3, tol)
 
 
 class TestExactFloatConsistency:

@@ -128,29 +128,28 @@ class TestReconstruction:
 
     def test_recurrence_output_follows_conventions(self):
         # seeds and the no-palindrome sample: a=[0,1], b2=[1] gives Q = x - 1
-        q, p, rec = jfraction_to_rational(JFraction((0, 1), (1,)))
-        assert rec.p_of(-1).is_zero and rec.p_of(0) == ONE
-        assert rec.q_of(-1) == -ONE and rec.q_of(0).is_zero
+        q, p, (Ps, Qs) = jfraction_to_rational(JFraction((0, 1), (1,)))
+        assert Ps[0] == ONE and Qs[0].is_zero
         assert q == Polynomial((-1, 1))
         assert p == Polynomial((-1, -1, 1))
 
     def test_sequences_monic_with_expected_degrees(self):
         rng = random.Random(3)
         jf = random_jfraction(rng, max_n=6)
-        _, _, rec = jfraction_to_rational(jf)
+        _, _, (Ps, Qs) = jfraction_to_rational(jf)
         n_levels = len(jf.a)
         for k in range(1, n_levels + 1):
-            assert rec.p_of(k).is_monic and rec.p_of(k).degree == k
-            assert rec.q_of(k).is_monic and rec.q_of(k).degree == k - 1
+            assert Ps[k].is_monic and Ps[k].degree == k
+            assert Qs[k].is_monic and Qs[k].degree == k - 1
 
     def test_liouville_ostrogradski_identity(self):
         rng = random.Random(5)
         for _ in range(40):
             jf = random_jfraction(rng)
-            _, _, rec = jfraction_to_rational(jf)
+            _, _, (Ps, Qs) = jfraction_to_rational(jf)
             coupling_product = Fraction(1)
             for k in range(len(jf.a)):
-                lhs = rec.p_of(k + 1) * rec.q_of(k) - rec.p_of(k) * rec.q_of(k + 1)
+                lhs = Ps[k + 1] * Qs[k] - Ps[k] * Qs[k + 1]
                 assert lhs == Polynomial((-coupling_product,))
                 if k < len(jf.b2):
                     coupling_product *= jf.b2[k]
@@ -162,9 +161,9 @@ class TestReconstruction:
             jf = random_jfraction(rng)
             if len(jf.a) < 2:
                 continue
-            _, _, rec = jfraction_to_rational(jf)
+            _, _, (Ps, Qs) = jfraction_to_rational(jf)
             top = len(jf.a) - 1
-            reversed_jf = expand_jfraction(rec.p_of(top), rec.p_of(top + 1))
+            reversed_jf = expand_jfraction(Ps[top], Ps[top + 1])
             assert reversed_jf.a == jf.a[::-1]
             assert reversed_jf.b2 == jf.b2[::-1]
 

@@ -15,6 +15,7 @@ from palinfrac.numeric_cf import (
     is_palindromic_serret,
     reverse,
 )
+from palinfrac.polynomial import three_term
 
 coprime_pairs = st.tuples(st.integers(2, 10_000), st.integers(1, 9_999)).filter(
     lambda t: t[1] < t[0] and math.gcd(t[0], t[1]) == 1
@@ -80,6 +81,14 @@ class TestConvergents:
         )
         assert convergents(NumericCF((2,))) == (ConvergentPair(2, 1),)
         assert convergents(NumericCF((1, 3))) == (ConvergentPair(1, 1), ConvergentPair(4, 3))
+
+    def test_integer_kernel_gives_the_golden_pairs(self):
+        # (1, 2, 1) -> (p, q) = (1, 1), (3, 2), (4, 3) above, seeds (p_{-1}, p_0) = (0, 1)
+        steps = [(1, 1), (2, 1), (1, 1)]
+        assert three_term(steps, (0, 1)) == [1, 1, 3, 4]
+        assert three_term(steps, (1, 0)) == [0, 1, 2, 3]
+        assert three_term([(2, 1)], (0, 1)) == [1, 2]
+        assert three_term([], (0, 1)) == [1]
 
     def test_final_pair_is_the_value(self):
         cf = expand_euclid(355, 452)

@@ -8,6 +8,7 @@ from palinfrac.errors import DegreeError, NotCoprime
 from palinfrac.jfraction import jfraction_to_rational
 from palinfrac.pfraction import (
     PFraction,
+    _reconstruct_raw,
     expand_pfraction,
     is_palindromic_pfraction,
     pfraction_to_rational,
@@ -80,6 +81,19 @@ class TestReconstruction:
         assert pfraction_to_rational(PFraction((X,))) == (ONE, X)
         # non-monic quotient lists reconstruct to the monic normalization
         assert pfraction_to_rational(PFraction(GOLDEN1_QUOTIENTS)) == (GOLDEN1_Q, GOLDEN1_P)
+
+    def test_raw_wronskian_is_minus_one(self):
+        # P_{k+1} Q_k - P_k Q_{k+1} = -1 for k = 0..N on arbitrary nonzero quotients
+        rng = random.Random(23)
+        for _ in range(60):
+            quotients = []
+            for _ in range(rng.randint(1, 7)):
+                coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 2))]
+                quotients.append(Polynomial(coeffs + [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))]))
+            ps, qs = _reconstruct_raw(PFraction(quotients))
+            assert len(ps) == len(qs) == len(quotients) + 1
+            for k in range(len(quotients)):
+                assert ps[k + 1] * qs[k] - ps[k] * qs[k + 1] == -ONE
 
     def test_round_trip_on_random_monic_pairs(self):
         rng = random.Random(19)

@@ -18,6 +18,7 @@ from palinfrac.polynomial import (
     pell_abel_residual,
     poly_divmod,
     poly_gcd,
+    three_term,
 )
 
 small_fraction = st.fractions(
@@ -125,6 +126,15 @@ class TestChebyshev:
             u = chebyshev_u(n)
             assert (t.degree, t.leading_coefficient) == (n, Fraction(2) ** (n - 1))
             assert (u.degree, u.leading_coefficient) == (n, Fraction(2) ** n)
+
+    def test_second_kind_difference_is_twice_first_kind(self):
+        for n in range(2, 65):
+            assert chebyshev_u(n) - chebyshev_u(n - 2) == 2 * chebyshev_t(n)
+
+    def test_kernel_over_fractions(self):
+        # Fibonacci halved: u_{k+1} = u_k + u_{k-1} from (0, 1/2)
+        half = Fraction(1, 2)
+        assert three_term([(1, 1)] * 5, (0, half)) == [half * f for f in (1, 1, 2, 3, 5, 8)]
 
     def test_cosine_identity(self):
         for n in range(13):

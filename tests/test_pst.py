@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from genutil import krawtchouk, perturb_asymmetric, random_jacobi, random_persymmetric
+from genutil import krawtchouk, perturb_asymmetric, random_jacobi, random_persymmetric, wilkinson
 from palinfrac.errors import (
     DegenerateSpectrum,
     IncommensurableSpectrum,
     NoOddScaling,
     NotPersymmetric,
+    PalinfracError,
 )
 from palinfrac.jacobi import (
     JacobiMatrix,
@@ -54,6 +55,11 @@ class TestVerify:
         cert = verify_pst(JacobiMatrix((0.7,), ()))
         assert cert.T == math.pi
         assert check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, 1e-8)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_bad_tolerance(self, chain3, tol):
+        with pytest.raises(ValueError):
+            verify_pst(chain3, tol)
 
     def test_not_persymmetric(self):
         with pytest.raises(NotPersymmetric):
@@ -114,6 +120,17 @@ class TestEvolve:
             trace = evolve(h, times)
             norms = np.linalg.norm(trace.amplitudes, axis=1)
             assert np.abs(norms - 1.0).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_close_eigenvalue_pairs_give_unitary_trace_or_typed_error(self, n):
+        # eigenvectors of the close top pairs are orthogonal only to ~eps / gap
+        for t in (1.0, 10.0):
+            try:
+                trace = evolve(wilkinson(n), (t,))
+                fidelity(wilkinson(n), t)
+            except PalinfracError:
+                continue
+            assert abs(np.linalg.norm(trace.amplitudes[0]) - 1.0) <= 1e-10
 
     def test_trace_validates_unitarity(self):
         with pytest.raises(ValueError):

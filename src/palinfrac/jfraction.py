@@ -28,8 +28,9 @@ computes both routes and cross-checks them.
 built on Sturm-chain root counting over exact rationals: it verifies that
 P and Q are real-rooted with simple roots and that exactly one root of P
 falls in every interval cut by consecutive roots of Q, outer intervals
-included.  Root counting uses the signed-remainder chain on half-open
-intervals (lo, hi].
+included.  Root counting uses the signed-remainder chain, each remainder
+scaled by a positive rational to content +-1, on half-open intervals
+(lo, hi].
 """
 
 from __future__ import annotations
@@ -227,15 +228,24 @@ def chebyshev_jfraction(n: int) -> JFraction:
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    """Signed-remainder chain p, p', -rem(p, p'), ...; the zero tail is dropped.
+    """Signed-remainder chain p, p', -rem(p, p'), ... up to positive factors;
+    the zero tail is dropped.
 
+    Each element is scaled by a positive rational to content +-1 (its
+    primitive integer vector, sign kept), which leaves every sign and so
+    every sign-change count unchanged while the coefficients stop growing.
     Root counts derived from it are exact for squarefree p.
     """
-    chain = [p, p.derivative()]
+    chain = [_unit_content(p), _unit_content(p.derivative())]
     while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
+        chain.append(_unit_content(-(chain[-2] % chain[-1])))
     chain.pop()
     return chain
+
+
+def _unit_content(p: Polynomial) -> Polynomial:
+    """p times the positive rational 1 / |content(p)|."""
+    return p * (1 / abs(p.content)) if p.content else p
 
 
 def _sign_changes(chain: list[Polynomial], x: Fraction) -> int:

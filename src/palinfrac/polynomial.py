@@ -1,9 +1,17 @@
 """Exact univariate polynomial arithmetic over arbitrary-precision rationals.
 
 ``BigRational`` is ``fractions.Fraction``: always stored reduced with a
-positive denominator, unbounded precision.  ``Polynomial`` keeps a dense
-coefficient tuple, lowest degree first, trailing zeros stripped; the zero
-polynomial is the empty tuple and reports degree -1.
+positive denominator, unbounded precision.  A ``Polynomial`` is stored as
+a canonical pair c * v: a nonzero rational content c (a Fraction that
+carries the sign) and a primitive integer coefficient tuple v, lowest
+degree first, with gcd 1, a positive leading entry and no trailing zeros.
+The zero polynomial is c = 0 with the empty tuple and reports degree -1.
+Arithmetic runs on the integers and touches the content once per result:
+by Gauss's lemma the product of two primitive vectors is primitive, so a
+product needs no gcd; scaling, negation and `monic` change only c; a sum
+and each step of `poly_divmod` take one gcd over the integer vector.  The
+rational coefficients (:attr:`Polynomial.coefficients`) are built from the
+pair on first use.
 
 Exact evaluation (:meth:`Polynomial.eval_exact`) and 64-bit floating
 evaluation (:meth:`Polynomial.eval_float`, Horner on converted
@@ -18,6 +26,7 @@ T_n^2 - (x^2 - 1) U_{n-1}^2 = 1, which is the zero polynomial for every n.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import DivisionByZeroPolynomial
@@ -42,6 +51,8 @@ BigRational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
+_set = object.__setattr__
+
 
 def parse_rational(text: RationalLike) -> Fraction:
     """Parse "num/den" or a bare integer string into a reduced Fraction."""
@@ -52,86 +63,141 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-class Polynomial:
-    """Immutable dense polynomial with exact rational coefficients."""
+def _primitive(num: int, den: int, ints: list) -> tuple[Fraction, tuple[int, ...]]:
+    """The canonical pair of (num / den) * ints, for any integer list ``ints``
+    (consumed) and num, den != 0."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return Fraction(0), ()
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [v // g for v in ints]
+    return Fraction(num * g, den), tuple(ints)
 
-    __slots__ = ("_coeffs",)
+
+def _lcm_form(cs: list) -> tuple[int, list]:
+    """(d, ints) with cs = ints / d; ``cs`` holds ints and Fractions."""
+    d = lcm(*[c.denominator for c in cs])
+    return d, [c.numerator * (d // c.denominator) for c in cs]
+
+
+class Polynomial:
+    """Immutable dense polynomial with exact rational coefficients, stored as
+    a rational content times a primitive integer vector (see the module
+    docstring for the canonical form)."""
+
+    __slots__ = ("_content", "_ints", "_coeffs")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        den, ints = _lcm_form([Fraction(c) for c in coeffs])
+        self._fill(*_primitive(1, den, ints))
+
+    def _fill(self, content: Fraction, ints: tuple[int, ...]) -> "Polynomial":
+        _set(self, "_content", content)
+        _set(self, "_ints", ints)
+        _set(self, "_coeffs", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return Polynomial, (self.coefficients,)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        """Reduced rational coefficients, lowest degree first."""
+        cs = self._coeffs
+        if cs is None:
+            n, d = self._content.numerator, self._content.denominator
+            cs = tuple(Fraction(n * v, d) for v in self._ints)
+            _set(self, "_coeffs", cs)
+        return cs
+
+    @property
+    def content(self) -> Fraction:
+        """The rational c with self = c * v for the primitive integer vector v
+        with positive leading entry; its sign is the sign of the leading
+        coefficient, and it is 0 for the zero polynomial."""
+        return self._content
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._ints
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
+        if not self._ints:
             return Fraction(0)
-        return self._coeffs[-1]
+        return self._content * self._ints[-1]
 
     @property
     def is_monic(self) -> bool:
-        return bool(self._coeffs) and self._coeffs[-1] == 1
+        return bool(self._ints) and self._content * self._ints[-1] == 1
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of x^i, zero beyond the stored degree."""
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
+        if 0 <= i < len(self._ints):
+            return self._content * self._ints[i]
         return Fraction(0)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self._coeffs, other._coeffs
+        a, b = self._ints, other._ints
+        if not b:
+            return self
+        if not a:
+            return other
+        ca, cb = self._content, other._content
+        da, db = ca.denominator, cb.denominator
+        den = lcm(da, db)
+        ma, mb = ca.numerator * (den // da), cb.numerator * (den // db)
+        g = gcd(ma, mb)
+        ma, mb = ma // g, mb // g
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            a, b, ma, mb = b, a, mb, ma
+        out = [ma * x + mb * y for x, y in zip(a, b)]
+        out += [ma * x for x in a[len(b):]]
+        return _make(*_primitive(g, den, out))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self._coeffs)
+        return _make(-self._content, self._ints)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
+            a, b = self._ints, other._ints
+            if not a or not b:
                 return ZERO
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        if other == -1:  # the g = -1 steps of three_term: negating beats multiplying
-            return -self
-        scalar = Fraction(other)
-        return Polynomial(c * scalar for c in self._coeffs)
+            if len(a) < len(b):
+                a, b = b, a
+            na = len(a)
+            out = [0] * (na + len(b) - 1)
+            for j, y in enumerate(b):
+                if y:
+                    out[j:j + na] = [o + x * y for o, x in zip(out[j:j + na], a)]
+            # Gauss's lemma: out is primitive again, with a positive lead
+            return _make(self._content * other._content, tuple(out))
+        if not isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+        if not other or not self._ints:
+            return ZERO
+        return _make(self._content * other, self._ints)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -157,37 +223,45 @@ class Polynomial:
     # -- evaluation and calculus -------------------------------------------
 
     def eval_exact(self, x: RationalLike) -> Fraction:
-        """Horner evaluation in exact rational arithmetic."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner evaluation in exact rational arithmetic: integer Horner on
+        q^n * v(p/q) for x = p/q, one Fraction at the end."""
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        v = self._ints
+        if not v:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc, qpow = v[-1], 1
+        for c in v[-2::-1]:
+            qpow *= q
+            acc = acc * p + c * qpow
+        return Fraction(self._content.numerator * acc, self._content.denominator * qpow)
 
     def eval_float(self, x: float) -> float:
         """Horner evaluation in 64-bit floating point."""
         acc = 0.0
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coefficients):
             acc = acc * x + float(c)
         return acc
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self._coeffs) if i >= 1)
+        v = self._ints
+        c = self._content
+        return _make(*_primitive(c.numerator, c.denominator, [i * v[i] for i in range(1, len(v))]))
 
     def monic(self) -> "Polynomial":
         """Divide through by the leading coefficient."""
         if self.is_zero:
             raise DivisionByZeroPolynomial("the zero polynomial has no monic form")
-        lead = self._coeffs[-1]
-        if lead == 1:
+        if self.is_monic:
             return self
-        return Polynomial(c / lead for c in self._coeffs)
+        return _make(Fraction(1, self._ints[-1]), self._ints)
 
     # -- serialization and comparison ---------------------------------------
 
     def to_strings(self) -> list[str]:
         """Coefficients as "num/den" strings, lowest degree first."""
-        return [format_rational(c) for c in self._coeffs]
+        return [format_rational(c) for c in self.coefficients]
 
     @classmethod
     def from_strings(cls, items: Iterable[RationalLike]) -> "Polynomial":
@@ -196,17 +270,18 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._ints == other._ints and self._content == other._content
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(self.coefficients)
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "Polynomial(0)"
         parts = []
-        for i in reversed(range(len(self._coeffs))):
-            c = self._coeffs[i]
+        cs = self.coefficients
+        for i in reversed(range(len(cs))):
+            c = cs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -222,6 +297,11 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
 
+def _make(content: Fraction, ints: tuple[int, ...]) -> Polynomial:
+    """A Polynomial from a pair already in canonical form."""
+    return object.__new__(Polynomial)._fill(content, ints)
+
+
 ZERO = Polynomial()
 ONE = Polynomial((1,))
 X = Polynomial((0, 1))
@@ -229,23 +309,40 @@ X = Polynomial((0, 1))
 
 def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Exact division with remainder: num = quotient * den + remainder,
-    deg remainder < deg den."""
+    deg remainder < deg den.
+
+    Fraction-free on the integer vectors: the running remainder is an
+    integer list over one shared denominator, reduced by one vector gcd
+    whenever that denominator grows."""
     if den.is_zero:
         raise DivisionByZeroPolynomial("polynomial division by zero")
     if num.degree < den.degree:
         return ZERO, num
-    rem = list(num.coefficients)
-    dcs = den.coefficients
-    dlead = dcs[-1]
-    dn = len(dcs)
-    quot = [Fraction(0)] * (len(rem) - dn + 1)
+    d = den._ints
+    dn, lead = len(d), d[-1]
+    rem = list(num._ints)  # running remainder of the primitive parts: rem / scale
+    scale = 1
+    quot = [0] * (len(rem) - dn + 1)
     for shift in range(len(rem) - dn, -1, -1):
-        factor = rem[shift + dn - 1] / dlead
-        if factor:
-            quot[shift] = factor
-            for i, dc in enumerate(dcs):
-                rem[shift + i] -= factor * dc
-    return Polynomial(quot), Polynomial(rem[: dn - 1])
+        top = rem.pop()
+        if not top:
+            continue
+        g = gcd(top, lead)
+        m, t = lead // g, top // g  # m * top = t * lead
+        quot[shift] = Fraction(t, scale * m)
+        if m == 1:
+            rem[shift:] = [r - t * w for r, w in zip(rem[shift:], d)]
+        else:
+            rem = [m * r for r in rem[:shift]] + [m * r - t * w for r, w in zip(rem[shift:], d)]
+            scale *= m
+            g = gcd(scale, *rem)
+            if g != 1:
+                rem = [r // g for r in rem]
+                scale //= g
+    cn, cd = num._content, den._content
+    qden, qints = _lcm_form(quot)
+    quotient = _make(*_primitive(cn.numerator * cd.denominator, cn.denominator * cd.numerator * qden, qints))
+    return quotient, _make(*_primitive(cn.numerator, cn.denominator * scale, rem))
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -183,6 +185,15 @@ class TestPalindromicity:
         q, p, _ = jfraction_to_rational(JFraction((0, 1), (1,)))
         assert not is_palindromic_jfraction(q, p).palindromic
 
+    def test_decision_pickles_and_deep_copies(self):
+        jf = random_palindromic_jfraction(random.Random(43))
+        q, p, _ = jfraction_to_rational(jf)
+        decision = is_palindromic_jfraction(q, p)
+        assert decision.palindromic
+        for copied in (pickle.loads(pickle.dumps(decision)), copy.deepcopy(decision)):
+            assert copied == decision
+            assert copied.cofactor * p == q * q - Polynomial((decision.beta,))
+
     def test_propagates_noninterlacing(self):
         with pytest.raises(NotInterlacing):
             is_palindromic_jfraction(NONINTER_Q, NONINTER_P)
@@ -242,6 +253,34 @@ class TestSturmMachinery:
         bound = cauchy_root_bound(NONINTER_P)
         chain = sturm_chain(NONINTER_P)
         assert count_real_roots(chain, -bound, bound) == 3
+
+    def test_chain_is_unscaled_chain_up_to_positive_factors(self):
+        def unscaled_chain(p):
+            chain = [p, p.derivative()]
+            while not chain[-1].is_zero:
+                chain.append(-(chain[-2] % chain[-1]))
+            chain.pop()
+            return chain
+
+        rng = random.Random(41)
+        polys = [CUBIC, NONINTER_P, NONINTER_Q, HALF_SHIFT, X2M1, 3 * CUBIC, -NONINTER_P]
+        polys += [(X2M1 * chebyshev_u(7)).monic(), chebyshev_t(9)]
+        polys += [interlacing_pair(rng, deg)[0] for deg in (4, 8, 12)]
+        polys += [noninterlacing_pair(rng, 6)[1]]
+        for p in polys:
+            chain, reference = sturm_chain(p), unscaled_chain(p)
+            assert len(chain) == len(reference)
+            for got, ref in zip(chain, reference):
+                factor = got.leading_coefficient / ref.leading_coefficient
+                assert factor > 0
+                assert got == factor * ref
+                assert abs(got.content) == 1
+            bound = cauchy_root_bound(p)
+            points = [-bound, Fraction(-1), Fraction(-1, 3), Fraction(0), Fraction(1, 2), Fraction(2), bound]
+            for lo in points:
+                for hi in points:
+                    if lo < hi:
+                        assert count_real_roots(chain, lo, hi) == count_real_roots(reference, lo, hi)
 
 
 class TestInterlacingCheck:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -41,6 +43,12 @@ class TestPFractionType:
     def test_palindrome_flag(self):
         assert PFraction(GOLDEN2_QUOTIENTS).is_palindromic
         assert not PFraction(GOLDEN1_QUOTIENTS).is_palindromic
+
+    def test_pickle_and_deepcopy_round_trips(self):
+        pf = PFraction(GOLDEN1_QUOTIENTS)
+        for copied in (pickle.loads(pickle.dumps(pf)), copy.deepcopy(pf)):
+            assert copied == pf
+            assert hash(copied) == hash(pf)
 
     def test_json_round_trip(self):
         pf = PFraction(GOLDEN1_QUOTIENTS)
@@ -149,6 +157,15 @@ class TestPalindromeCriterion:
             q, p = pfraction_to_rational(pf)
             decision = is_palindromic_pfraction(q, p)
             assert not decision.palindromic and not decision.termwise_palindromic
+
+    def test_palindromic_monic_level_128(self):
+        rng = random.Random(31)
+        half = [Polynomial((Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 1)) for _ in range(64)]
+        q, p = pfraction_to_rational(PFraction(half + half[::-1]))
+        assert p.degree == 128 and p.is_monic and q.is_monic
+        decision = is_palindromic_pfraction(q, p)
+        assert decision.palindromic and decision.termwise_palindromic
+        assert decision.cofactor * p == q * q - ONE
 
     def test_scaled_palindrome_gap_both_directions(self):
         # Non-monic quotients decouple the two notions through the

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,71 @@ small_fraction = st.fractions(
 )
 small_poly = st.lists(small_fraction, min_size=0, max_size=9).map(Polynomial)
 nonzero_poly = small_poly.filter(lambda p: not p.is_zero)
+
+# Wide coefficients for the integer core: denominators up to 2^64, either
+# sign in every position (so negative leading coefficients), and zeros,
+# which also give the zero polynomial.
+wide_fraction = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**64)),
+)
+wide_list = st.lists(wide_fraction, min_size=0, max_size=7)
+
+
+# -- a naive reference on plain Fraction lists, lowest degree first ---------
+
+
+def _trim(cs) -> tuple:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b) -> tuple:
+    n = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def _ref_mul(a, b) -> tuple:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b) -> tuple[tuple, tuple]:
+    rem = list(_trim(a))
+    b = _trim(b)
+    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        factor = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quot[shift] = factor
+        for i, y in enumerate(b):
+            rem[shift + i] -= factor * y
+        rem = list(_trim(rem[:-1]))
+    return _trim(quot), _trim(rem)
+
+
+def _ref_eval(a, x: Fraction) -> Fraction:
+    return sum((c * x**i for i, c in enumerate(a)), Fraction(0))
+
+
+def _assert_canonical(p: Polynomial) -> None:
+    """The stored pair: p = content * v with v integer, gcd 1, positive lead."""
+    if p.is_zero:
+        assert p.content == 0 and p.coefficients == ()
+        return
+    v = [c / p.content for c in p.coefficients]
+    assert all(x.denominator == 1 for x in v)
+    assert math.gcd(*(x.numerator for x in v)) == 1
+    assert v[-1] > 0
+    assert p.content * v[-1] == p.leading_coefficient
+    for c in p.coefficients:
+        assert type(c) is Fraction
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
 
 
 class TestPolynomialBasics:
@@ -97,6 +164,81 @@ class TestDivMod:
     @given(small_poly, small_poly, small_poly)
     def test_ring_distributivity(self, a, b, c):
         assert (a + b) * c == a * c + b * c
+
+
+class TestIntegerCore:
+    @settings(max_examples=150, deadline=None)
+    @given(wide_list, wide_list, wide_fraction)
+    def test_operations_match_fraction_reference(self, a, b, s):
+        p, q = Polynomial(a), Polynomial(b)
+        ra, rb = _trim(a), _trim(b)
+        assert p.coefficients == ra
+        results = {
+            "add": (p + q, _ref_add(ra, rb)),
+            "sub": (p - q, _ref_add(ra, [-c for c in rb])),
+            "neg": (-p, _trim(-c for c in ra)),
+            "mul": (p * q, _ref_mul(ra, rb)),
+            "scalar": (s * p, _trim(s * c for c in ra)),
+            "scalar_right": (p * s, _trim(c * s for c in ra)),
+            "derivative": (p.derivative(), _trim(i * c for i, c in enumerate(ra))[1:]),
+        }
+        if not q.is_zero:
+            quotient, remainder = poly_divmod(p, q)
+            ref_quotient, ref_remainder = _ref_divmod(ra, rb)
+            results["quotient"] = (quotient, ref_quotient)
+            results["remainder"] = (remainder, ref_remainder)
+            results["monic"] = (q.monic(), _trim(c / rb[-1] for c in rb))
+        for name, (got, expected) in results.items():
+            assert got.coefficients == expected, name
+            _assert_canonical(got)
+        assert p.eval_exact(s) == _ref_eval(ra, s)
+        _assert_canonical(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_list, wide_list, wide_fraction.filter(bool))
+    def test_equal_values_are_equal_and_hash_alike(self, a, b, s):
+        p, q = Polynomial(a), Polynomial(b)
+        for same in (
+            (p * s) * (1 / s),
+            (p + q) - q,
+            -(-p),
+            Polynomial.from_strings(p.to_strings()),
+            Polynomial(list(a) + [0, 0]),
+            Polynomial(format_rational(c) for c in a),
+        ):
+            assert same == p
+            assert hash(same) == hash(p)
+            assert same.coefficients == p.coefficients
+
+    def test_equality_across_constructions(self):
+        half = Fraction(1, 2)
+        assert Polynomial([2, 4]) * half == Polynomial([1, 2])
+        assert hash(Polynomial([2, 4]) * half) == hash(Polynomial([1, 2]))
+        assert Polynomial([-3, 6]) * Fraction(-1, 3) == Polynomial([1, -2])
+        assert Polynomial([half, 1]) * 2 == Polynomial([1, 2])
+        assert Polynomial([1, 2]) - Polynomial([1, 2]) == ZERO
+        assert hash(Polynomial([0, 0])) == hash(ZERO) == hash(())
+        assert hash(Polynomial([half, 3])) == hash((half, Fraction(3)))
+        assert (2 * X).content == 2 and (-2 * X).content == -2 and ZERO.content == 0
+        assert Polynomial([Fraction(2, 3), Fraction(4, 9)]).content == Fraction(2, 9)
+
+    def test_large_exact_identities(self):
+        assert pell_abel_residual(128).is_zero
+        t = chebyshev_t(128)
+        assert t.leading_coefficient == 2**127
+        assert t.eval_exact(Fraction(1, 2)) == Fraction(-1, 2)  # cos(128 pi / 3)
+
+    def test_pickle_and_deepcopy_round_trips(self):
+        p = Polynomial([1, 2, 3])
+        q = Polynomial([Fraction(-1, 2**64), 0, Fraction(3, 7)])
+        for poly in (p, q, ZERO, ONE, X):
+            for copied in (pickle.loads(pickle.dumps(poly)), copy.deepcopy(poly), copy.copy(poly)):
+                assert copied == poly
+                assert hash(copied) == hash(poly)
+                assert copied.coefficients == poly.coefficients
+                _assert_canonical(copied)
+        with pytest.raises(AttributeError):
+            p.degree = 5
 
 
 class TestGcd:

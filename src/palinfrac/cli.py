@@ -76,7 +76,7 @@ def _load_poly(path: str) -> Polynomial:
         raise click.UsageError(f"{path}: expected a JSON array of coefficient strings")
     try:
         return Polynomial.from_strings(data)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError, TypeError) as exc:  # Fraction(inf) overflows
         raise click.UsageError(f"{path}: bad coefficient: {exc}")
 
 
@@ -293,6 +293,8 @@ def pst_simulate(hfile: str, t0: float, t1: float, steps: int, out: str | None) 
     else:
         step = (t1 - t0) / (steps - 1)
         times = [t0 + i * step for i in range(steps)]
+    if not all(math.isfinite(t) for t in (t1, *times)):  # also catches an overflowing step
+        raise click.UsageError("--t0, --t1 and the time grid between them must be finite")
     trace = pst_mod.evolve(matrix, times)
     if out is None:
         trace.to_csv(sys.stdout)

@@ -25,12 +25,13 @@ P, the polynomial form of the Serret criterion; `is_palindromic_jfraction`
 computes both routes and cross-checks them.
 
 `interlacing_check` is an independent oracle for the interlacing property
-built on Sturm-chain root counting over exact rationals: it verifies that
-P and Q are real-rooted with simple roots and that exactly one root of P
-falls in every interval cut by consecutive roots of Q, outer intervals
-included.  Root counting uses the signed-remainder chain, each remainder
-scaled by a positive rational to content +-1, on half-open intervals
-(lo, hi].
+built on two exact Sturm root counts over the whole line: P has deg P
+distinct real roots and the Wronskian W = P'Q - PQ' has no real root.
+Then W > 0 (leading coefficient 1), so every residue Q(x_i)/P'(x_i) =
+W(x_i)/P'(x_i)^2 of Q/P is positive, which is strict interlacing;
+conversely interlacing gives W = P^2 * sum r_i/(x - x_i)^2 > 0.  Root
+counting uses the signed-remainder chain, each remainder scaled by a
+positive rational to content +-1, on half-open intervals (lo, hi].
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     RemainderDegreeDrop,
     ZeroRemainder,
 )
-from .polynomial import ONE, X, ZERO, Polynomial, format_rational, parse_rational, poly_divmod, poly_gcd, three_term
+from .polynomial import ONE, X, ZERO, Polynomial, format_rational, parse_rational, poly_divmod, three_term
 
 __all__ = [
     "JFraction",
@@ -234,7 +235,8 @@ def sturm_chain(p: Polynomial) -> list[Polynomial]:
     Each element is scaled by a positive rational to content +-1 (its
     primitive integer vector, sign kept), which leaves every sign and so
     every sign-change count unchanged while the coefficients stop growing.
-    Root counts derived from it are exact for squarefree p.
+    Root counts derived from it are exact for squarefree p, and for any p
+    on an interval whose ends are not roots of p.
     """
     chain = [_unit_content(p), _unit_content(p.derivative())]
     while not chain[-1].is_zero:
@@ -271,63 +273,27 @@ def cauchy_root_bound(p: Polynomial) -> Fraction:
     return 1 + max(abs(c) for c in body) / lead
 
 
-def _isolate_roots(chain: list[Polynomial], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint half-open intervals, in increasing order, each holding exactly
-    one root of the squarefree polynomial behind ``chain``."""
-    count = count_real_roots(chain, lo, hi)
-    if count == 0:
-        return []
-    if count == 1:
-        return [(lo, hi)]
-    mid = (lo + hi) / 2
-    return _isolate_roots(chain, lo, mid) + _isolate_roots(chain, mid, hi)
-
-
-def _shrink_off(
-    chain_owner: list[Polynomial],
-    chain_other: list[Polynomial],
-    lo: Fraction,
-    hi: Fraction,
-) -> tuple[Fraction, Fraction]:
-    """Narrow an isolating interval of ``chain_owner``'s root until it holds
-    no root of the other polynomial (possible whenever the two are coprime)."""
-    while count_real_roots(chain_other, lo, hi) > 0:
-        mid = (lo + hi) / 2
-        if count_real_roots(chain_owner, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 def interlacing_check(P: Polynomial, Q: Polynomial) -> bool:
-    """Independent interlacing oracle via exact Sturm root counting.
+    """Independent interlacing oracle: two exact Sturm root counts.
 
-    True iff P and Q (monic, deg P = deg Q + 1) are both real-rooted with
-    simple roots, share no root, and exactly one root of P lies in each of
-    the deg P intervals cut by the roots of Q (the two unbounded ones
-    included).
+    True iff P and Q (monic, deg P = deg Q + 1) have real, simple, strictly
+    interlacing roots, which holds iff P has deg P distinct real roots and
+    the Wronskian W = P'Q - PQ' has no real root.  If P has simple real
+    roots x_i and W has none, then W > 0 (its leading coefficient is
+    n - (n - 1) = 1), so every residue Q(x_i)/P'(x_i) = W(x_i)/P'(x_i)^2 of
+    Q/P is positive, which is strict interlacing; conversely interlacing
+    gives W = P^2 * sum r_i/(x - x_i)^2 > 0 with all r_i > 0.  A shared or
+    repeated root makes W vanish at a real point.  Euclid runs only on
+    (P, P') and (W, W'); P is never divided by Q.
     """
     n = P.degree
     if not (P.is_monic and Q.is_monic) or n != Q.degree + 1 or n < 1:
         raise DegreeMismatch("interlacing_check needs monic P, Q with deg P = deg Q + 1 >= 1")
-    if n == 1:
-        return True  # Q = 1 has no roots; a single real root of P is trivially fine
-    if poly_gcd(P, Q).degree > 0:
-        return False  # a common root breaks strict interlacing
-    if poly_gcd(P, P.derivative()).degree > 0 or poly_gcd(Q, Q.derivative()).degree > 0:
-        return False  # repeated roots break strict interlacing
-    bound = max(cauchy_root_bound(P), cauchy_root_bound(Q))
-    chain_p = sturm_chain(P)
-    chain_q = sturm_chain(Q)
-    if count_real_roots(chain_p, -bound, bound) != n:
-        return False
-    if count_real_roots(chain_q, -bound, bound) != n - 1:
-        return False
-    boxes = _isolate_roots(chain_q, -bound, bound)
-    for i, (lo, hi) in enumerate(boxes, start=1):
-        lo, hi = _shrink_off(chain_q, chain_p, lo, hi)
-        # every root of P below this box endpoint is below the i-th root of Q
-        if count_real_roots(chain_p, -bound, lo) != i:
-            return False
-    return True
+    W = P.derivative() * Q - P * Q.derivative()
+    return _real_root_count(P) == n and _real_root_count(W) == 0
+
+
+def _real_root_count(p: Polynomial) -> int:
+    """Distinct real roots of p, all of which lie in (-B, B]."""
+    bound = cauchy_root_bound(p)
+    return count_real_roots(sturm_chain(p), -bound, bound)

@@ -97,7 +97,7 @@ class AmplitudeTrace:
             raise ValueError("one amplitude vector per time sample required")
         norms = np.linalg.norm(amplitudes, axis=1)
         worst = float(np.abs(norms - 1.0).max()) if len(times) else 0.0
-        if worst > 1e-10:
+        if not worst <= 1e-10:  # a NaN norm fails too
             raise ValueError(f"unitarity violated: norm deviates by {worst:.3e}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "amplitudes", amplitudes)
@@ -122,13 +122,19 @@ def _eigensystem(H: JacobiMatrix, tol: float | None = None) -> tuple[Spectrum, n
 
 
 def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
-    """e^{itH} e_0 for each t, via the spectral decomposition of H."""
+    """e^{itH} e_0 for each t, via the spectral decomposition of H.
+
+    Raises ValueError for a NaN or infinite time.
+    """
+    times = [float(t) for t in times]
+    if not all(math.isfinite(t) for t in times):
+        raise ValueError("evolve needs finite times")
     spectrum, basis = _eigensystem(H)
     lams = np.asarray(spectrum.eigenvalues)
     first_components = basis[0, :]
     amplitudes = np.empty((len(times), H.size), dtype=complex)
     for i, t in enumerate(times):
-        amplitudes[i] = basis @ (np.exp(1j * float(t) * lams) * first_components)
+        amplitudes[i] = basis @ (np.exp(1j * t * lams) * first_components)
     try:
         return AmplitudeTrace(times, amplitudes)
     except ValueError as exc:  # eigenvectors of close eigenvalue pairs are not reorthogonalized

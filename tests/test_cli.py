@@ -246,6 +246,15 @@ class TestPst:
             assert result.exit_code == 1
             assert json.loads(result.stderr)["error"] == "InternalCheckFailed"
 
+    @pytest.mark.parametrize(
+        "times",
+        [["--t1", "inf"], ["--t0", "nan", "--t1", "1"], ["--t0", "-inf", "--t1", "1"], ["--t0", "-1e308", "--t1", "1e308"]],
+    )
+    def test_simulate_non_finite_time_is_usage_error(self, runner, files, times):
+        result = runner.invoke(main, ["pst", "simulate", files["chain"], *times, "--steps", "2"])
+        assert result.exit_code == 2
+        assert "finite" in result.stderr
+
 
 class TestPfrac:
     def test_expand(self, runner, files):
@@ -270,3 +279,14 @@ class TestPfrac:
         payload = out_json(result)
         assert payload["palindromic"] is False
         assert payload["cofactor"] is None
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_coefficient_is_usage_error(runner, files, tmp_path, literal):
+    # json.load accepts these literals; Fraction(inf) raises OverflowError, Fraction(nan) ValueError
+    q = tmp_path / "q_inf.json"
+    q.write_text(f'["1/1", {literal}]')
+    for command in (["pfrac", "expand"], ["jfrac", "expand"]):
+        result = runner.invoke(main, [*command, str(q), files["p_bad"]])
+        assert result.exit_code == 2
+        assert "bad coefficient" in result.stderr

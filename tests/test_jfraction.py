@@ -8,6 +8,7 @@ import pytest
 from genutil import (
     interlacing_pair,
     noninterlacing_pair,
+    poly_from_roots,
     random_jfraction,
     random_nonpalindromic_jfraction,
     random_palindromic_jfraction,
@@ -322,3 +323,67 @@ class TestInterlacingCheck:
             assert not interlacing_check(p, q)
             with pytest.raises(NotInterlacing):
                 expand_jfraction(q, p)
+
+    def test_complex_roots_of_p_fail_despite_positive_wronskian(self):
+        # W = x^4 + 5x^2 + 2 > 0, but P = x(x^2 + 1) has only one real root
+        assert not interlacing_check(Polynomial((0, 1, 0, 1)), Polynomial((2, 0, 1)))
+
+    def test_complex_roots_of_q_fail(self):
+        assert not interlacing_check(CUBIC, Polynomial((1, 0, 1)))
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(DegreeMismatch):
+            interlacing_check(2 * CUBIC, HALF_SHIFT)
+        with pytest.raises(DegreeMismatch):
+            interlacing_check(CUBIC, 3 * HALF_SHIFT)
+        with pytest.raises(DegreeMismatch):
+            interlacing_check(CUBIC, X)
+        with pytest.raises(DegreeMismatch):
+            interlacing_check(CUBIC, Polynomial((0, 0, 0, 1)))
+
+    def test_random_pairs_match_truth_from_root_lists(self):
+        rng = random.Random(29)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            p, p_real, p_roots = _random_monic(rng, n)
+            q, q_real, q_roots = _random_monic(rng, n - 1)
+            if rng.random() < 0.4:
+                # near-interlacing: Q's roots between P's, one of them maybe moved onto a root of P
+                p_roots = sorted(Fraction(rng.randint(-6, 6), 2) for _ in range(n))
+                q_roots = [(lo + hi) / 2 for lo, hi in zip(p_roots, p_roots[1:])]
+                if q_roots and rng.random() < 0.5:
+                    k = rng.randrange(n - 1)
+                    q_roots[k] = p_roots[k + rng.randint(0, 1)]
+                p, q, p_real, q_real = poly_from_roots(p_roots), poly_from_roots(q_roots), True, True
+            p_sorted, q_sorted = sorted(p_roots), sorted(q_roots)
+            truth = p_real and q_real and all(
+                p_sorted[k] < q_sorted[k] < p_sorted[k + 1] for k in range(n - 1)
+            )
+            verdicts.add(truth)
+            assert interlacing_check(p, q) == truth
+            try:
+                expand_jfraction(q, p)
+                expanded = True
+            except NotInterlacing:
+                expanded = False
+            assert expanded == truth
+        assert verdicts == {True, False}
+
+    def test_at_size(self):
+        assert interlacing_check(chebyshev_t(24).monic(), chebyshev_u(23).monic())
+        assert interlacing_check((X2M1 * chebyshev_u(63)).monic(), chebyshev_t(64).monic())
+        assert interlacing_check(*interlacing_pair(random.Random(5), 24))
+        assert not interlacing_check(*noninterlacing_pair(random.Random(5), 24))
+
+
+def _random_monic(rng, deg):
+    """Monic polynomial of degree ``deg`` with roots on a coarse lattice (so
+    repeats are common) and, sometimes, an irreducible quadratic factor;
+    returns (poly, real_rooted, real_roots)."""
+    roots = [Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(deg)]
+    if deg >= 2 and rng.random() < 0.25:
+        centre = Fraction(rng.randint(-4, 4), 2)
+        quadratic = (X - Polynomial((centre,))) ** 2 + Polynomial((Fraction(rng.randint(1, 9), 4),))
+        return poly_from_roots(roots[2:]) * quadratic, False, roots[2:]
+    return poly_from_roots(roots), True, roots

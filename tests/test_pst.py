@@ -135,6 +135,15 @@ class TestEvolve:
     def test_trace_validates_unitarity(self):
         with pytest.raises(ValueError):
             AmplitudeTrace((0.0,), np.array([[0.5 + 0j, 0.0]]))
+        with pytest.raises(ValueError):
+            AmplitudeTrace((0.0,), np.array([[math.nan + 0j, 0.0]]))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_rejected(self, chain3, t):
+        with pytest.raises(ValueError):
+            evolve(chain3, (0.0, t))
+        with pytest.raises(ValueError):
+            fidelity(chain3, t)
 
     def test_csv_shape(self, chain3):
         trace = evolve(chain3, (0.0, 1.0))

@@ -17,8 +17,9 @@ Ratios of consecutive values are the pivots of H - xI = L D L^T,
 the same recurrence in a form that neither overflows nor underflows.  By
 Sylvester's law of inertia the number of negative pivots is the number of
 eigenvalues below x; that count, taken for many shifts at once, drives
-the bisection eigenvalue solver, which therefore exercises the recurrence
-itself instead of delegating to a dense solver.  Run from both ends, the
+the multisection eigenvalue solver (2^b - 1 points per bracket and pass,
+b fixed by N), which therefore exercises the recurrence itself instead of
+delegating to a dense solver.  The result is bit-identical to bisection.  Run from both ends, the
 pivots give twisted factorizations and with them every eigenvector in
 O(N) (Dhillon & Parlett).
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -181,38 +182,45 @@ def gershgorin_interval(H: JacobiMatrix) -> tuple[float, float]:
     return lo, hi
 
 
-def _scaled(H: JacobiMatrix) -> tuple[list[float], list[float], float]:
-    """Diagonal and off-diagonal of H times the power of 2 that brings its
-    largest entry into [1, 2), and that factor.
+class _Scaled(NamedTuple):
+    """H times the power of 2 that brings its largest entry into [1, 2),
+    with what its pivot recurrence needs: b^2 and the guard pivmin."""
+
+    diag: list[float]
+    offdiag: list[float]
+    coupling_sq: list[float]
+    pivmin: float
+    factor: float
+
+
+def _scaled(H: JacobiMatrix) -> _Scaled:
+    """The scaled form of H, prepared once per matrix.
 
     The scaling is exact, except for entries more than 2^1021 times smaller
     than the largest, which lie far below its rounding anyway; the b^2 of
     the pivot recurrence then cannot overflow (LAPACK dstevx scales too).
+    The pivot guard is pivmin = tiny * max(1, max b^2).
     """
     factor = 2.0 ** (1 - math.frexp(max(map(abs, H.diag + H.offdiag)))[1])
-    return [a * factor for a in H.diag], [b * factor for b in H.offdiag], factor
-
-
-def _pivmin(offdiag) -> float:
-    """The pivot guard tiny * max(1, max b^2) of the scaled couplings."""
-    return sys.float_info.min * max([1.0, *(b * b for b in offdiag)])
-
-
-def _pivots(diag, offdiag, shifts: np.ndarray, reverse: bool = False):
-    """Pivots q_k = (a_k - x) - b_{k-1}^2 / q_{k-1} of H - xI = L D L^T for
-    every shift x at once, yielded one row per k together with the mask of
-    its negative entries; with ``reverse`` the recurrence runs from the
-    last site back to the first.
-
-    A pivot smaller in magnitude than pivmin = tiny * max(1, max b^2)
-    becomes -pivmin before anyone reads it (the LAPACK dstebz guard), so
-    b^2 / q never exceeds 1 / tiny and an exact eigenvalue hit counts as
-    lying below the shift.
-    """
-    if reverse:
-        diag, offdiag = diag[::-1], offdiag[::-1]
+    offdiag = [b * factor for b in H.offdiag]
     coupling_sq = [b * b for b in offdiag]
-    pivmin = _pivmin(offdiag)
+    pivmin = sys.float_info.min * max([1.0, *coupling_sq])
+    return _Scaled([a * factor for a in H.diag], offdiag, coupling_sq, pivmin, factor)
+
+
+def _pivots(s: _Scaled, shifts: np.ndarray, reverse: bool = False):
+    """Pivots q_k = (a_k - x) - b_{k-1}^2 / q_{k-1} of H - xI = L D L^T for
+    every (scaled) shift x at once, yielded one row per k together with the
+    mask of its negative entries; with ``reverse`` the recurrence runs from
+    the last site back to the first.
+
+    A pivot smaller in magnitude than pivmin becomes -pivmin before anyone
+    reads it (the LAPACK dstebz guard), so b^2 / q never exceeds 1 / tiny
+    and an exact eigenvalue hit counts as lying below the shift.
+    """
+    diag, coupling_sq, pivmin = s.diag, s.coupling_sq, s.pivmin
+    if reverse:
+        diag, coupling_sq = diag[::-1], coupling_sq[::-1]
     pivot = diag[0] - shifts
     for k in range(len(diag)):
         if k:
@@ -222,15 +230,14 @@ def _pivots(diag, offdiag, shifts: np.ndarray, reverse: bool = False):
         yield pivot, negative
 
 
-def _count_less(H: JacobiMatrix, shifts) -> np.ndarray:
-    """Number of eigenvalues below each shift: by Sylvester's law of inertia,
-    the number of negative pivots of H - xI."""
-    diag, offdiag, factor = _scaled(H)
-    shifts = np.asarray(shifts, dtype=float) * factor
-    count = np.zeros(shifts.shape, dtype=np.intp)
-    for _, negative in _pivots(diag, offdiag, shifts):
+def _count_less(s: _Scaled, shifts) -> np.ndarray:
+    """Number of eigenvalues below each shift, an array of any shape: by
+    Sylvester's law of inertia, the number of negative pivots of H - xI."""
+    shifts = np.asarray(shifts, dtype=float)
+    count = np.zeros(shifts.size, dtype=np.intp)
+    for _, negative in _pivots(s, shifts.ravel() * s.factor):  # 1-d runs a few % faster
         count += negative
-    return count
+    return count.reshape(shifts.shape)
 
 
 def _to_keys(x) -> np.ndarray:
@@ -245,15 +252,25 @@ def _from_keys(keys: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
-    """All eigenvalues by Sturm-count bisection inside the Gershgorin bracket.
+    """All eigenvalues by Sturm-count multisection inside the Gershgorin
+    bracket.
 
-    The N brackets bisect together, one pivot count over all midpoints per
-    step.  Each root is bisected until the bracket stops shrinking in
-    floating point, so the returned values are accurate to a few ulps (near
-    0, to the pivot guard pivmin ~ 1e-308) regardless of ``tol``; ``tol``
-    (default 1e-12 scaled by the Gershgorin radius) is the separation the
-    resulting Spectrum certifies.  Raises ToleranceTooLoose when ``tol``
-    exceeds the best possible eigenvalue gap or any computed gap fails it.
+    The N brackets shrink together.  Each pass takes one pivot count at
+    2^b - 1 evenly spaced interior points of every bracket, and each
+    bracket becomes the part between the two neighbouring points where the
+    count passes its index (LAPACK dlaebz).  b is fixed by N: the largest
+    b <= 6 with N (2^b - 1) <= 1024 shifts per pass, down to b = 1
+    (bisection) from N = 342 on.  The points are spaced evenly over the
+    doubles of the bracket, not over its width, and each root is narrowed
+    down to two adjacent doubles.  As the rounded count is monotone in the
+    shift, that final bracket is unique, so the result does not depend on
+    b and is bit-identical to bisection.  The returned values are accurate
+    to a few ulps (near 0, to the pivot guard pivmin ~ 1e-308; an
+    eigenvalue within the guard is returned as +0.0) regardless of
+    ``tol``; ``tol`` (default 1e-12 scaled by the Gershgorin radius) is the
+    separation the resulting Spectrum certifies.  Raises ToleranceTooLoose
+    when ``tol`` exceeds the best possible eigenvalue gap or any computed
+    gap fails it.
     """
     n = H.size
     lo, hi = gershgorin_interval(H)
@@ -270,25 +287,36 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
             f"tol {tol} is not below the best possible gap {span / (n - 1)} "
             f"of {n} eigenvalues inside the Gershgorin interval"
         )
+    s = _scaled(H)
     pad = 16 * sys.float_info.epsilon * scale
-    # Bisect the keys of the bracket ends, not their values: the bracket
-    # holds fewer than 2^64 doubles, so every root is done within 64 steps,
-    # where halving the width would walk ~1000 steps through the subnormals
-    # towards an eigenvalue 0 that a bracket end hits exactly.
+    # Split the keys of the bracket ends, not their values: the bracket
+    # holds fewer than 2^64 doubles, so every root is done within 64 / b
+    # passes, where splitting the width would walk ~1000 bisection steps
+    # through the subnormals towards an eigenvalue 0 that a bracket end
+    # hits exactly.  A bracket across 0 holds more than 2^63 doubles, so
+    # key widths and offsets are unsigned.
     # invariant: count_less at lower[k] <= k < count_less at upper[k]
+    # (NumPy 1.x turns uint64 mixed with int64 into float64: no mixing.)
+    b = max(1, min(6, (1024 // n + 1).bit_length() - 1))
+    shift, low_bits = np.uint64(b), np.uint64(2**b - 1)
+    j = np.arange(1, 2**b, dtype=np.uint64)
     lower = np.full(n, _to_keys(lo - pad))
     upper = np.full(n, _to_keys(hi + pad))
     index = np.arange(n)
+    upper_above = np.ones((n, 1), dtype=bool)  # the upper end lies above its index
     while True:
-        mid = (lower >> 1) + (upper >> 1) + (lower & upper & 1)  # floor((lower + upper) / 2)
-        if not (mid > lower).any():  # no midpoint strictly inside its bracket
+        width = upper.view(np.uint64) - lower.view(np.uint64)
+        if (width <= 1).all():
             break
-        above = _count_less(H, _from_keys(mid)) > index
-        upper = np.where(above, mid, upper)
-        lower = np.where(above, lower, mid)
+        # floor(width * j / 2^b), without overflow
+        offsets = (width >> shift)[:, None] * j + (((width & low_bits)[:, None] * j) >> shift)
+        keys = (lower.view(np.uint64)[:, None] + offsets).view(np.int64)
+        above = _count_less(s, _from_keys(keys)) > index[:, None]
+        flip = np.hstack((above, upper_above)).argmax(axis=1)  # first point above its index
+        ends = np.column_stack((lower, keys, upper))
+        lower, upper = ends[index, flip], ends[index, flip + 1]
     found = 0.5 * (_from_keys(lower) + _from_keys(upper))
-    _, offdiag, factor = _scaled(H)
-    found[np.abs(found) <= _pivmin(offdiag) / factor] = 0.0  # an eigenvalue 0 lands on -pivmin
+    found[np.abs(found) <= s.pivmin / s.factor] = 0.0  # an eigenvalue 0 lands on -pivmin
     for left_val, right_val in zip(found, found[1:]):
         if right_val - left_val <= tol:
             raise ToleranceTooLoose(
@@ -309,16 +337,16 @@ def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:
     positive.  Every residual ||Hv - lam v|| must come out within
     1e-8 * ||H||_inf, otherwise NotAnEigenvalue is raised.
     """
-    diag, offdiag, factor = _scaled(H)
-    lams = np.asarray(tuple(lams), dtype=float) * factor
+    s = _scaled(H)
+    lams = np.asarray(tuple(lams), dtype=float) * s.factor
     n = H.size
     forward = np.empty((n, lams.size))
     backward = np.empty((n, lams.size))
-    for k, (pivot, _) in enumerate(_pivots(diag, offdiag, lams)):
+    for k, (pivot, _) in enumerate(_pivots(s, lams)):
         forward[k] = pivot
-    for k, (pivot, _) in enumerate(_pivots(diag, offdiag, lams, reverse=True)):
+    for k, (pivot, _) in enumerate(_pivots(s, lams, reverse=True)):
         backward[n - 1 - k] = pivot
-    diag, off = np.asarray(diag), np.asarray(offdiag)
+    diag, off = np.asarray(s.diag), np.asarray(s.offdiag)
     vectors = forward + backward  # gamma, then the solution, in one array
     vectors -= diag[:, None]
     vectors += lams
@@ -343,7 +371,7 @@ def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:
     bound = 1e-8 * float(row_sums.max())
     if not worst <= bound:
         raise NotAnEigenvalue(
-            f"residual {worst / factor:.3e} exceeds 1e-8 * ||H|| = {bound / factor:.3e}"
+            f"residual {worst / s.factor:.3e} exceeds 1e-8 * ||H|| = {bound / s.factor:.3e}"
         )
     return vectors
 

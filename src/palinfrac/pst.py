@@ -21,8 +21,10 @@ product cannot overflow, and normalized to sum 1) and runs a
 fully reorthogonalized Lanczos pass on the diagonal eigenvalue matrix
 started from the weight vector, reading the chain off the recurrence
 coefficients.  The weight formula is not taken on faith: the construction
-validates its own contract (persymmetry and spectrum match) before
-returning.
+validates its own contract before returning, persymmetry entry by entry
+and the spectrum by a two-count certificate, one pivot count of the
+designed chain at every lambda_k - delta and lambda_k + delta, with no
+bisection.
 """
 
 from __future__ import annotations
@@ -40,10 +42,13 @@ from .errors import (
     InternalCheckFailed,
     NoOddScaling,
     NotPersymmetric,
+    OutOfRange,
 )
 from .jacobi import (
     JacobiMatrix,
     Spectrum,
+    _count_less,
+    _scaled,
     eigenvalues,
     eigenvectors,
     gershgorin_interval,
@@ -124,11 +129,19 @@ def _eigensystem(H: JacobiMatrix, tol: float | None = None) -> tuple[Spectrum, n
 def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     """e^{itH} e_0 for each t, via the spectral decomposition of H.
 
-    Raises ValueError for a NaN or infinite time.
+    Raises ValueError for a NaN or infinite time, and OutOfRange when
+    max |t| * ||H|| exceeds 2^53, with ||H|| the Gershgorin bound on every
+    |lambda|: beyond it neighbouring doubles lie 2 or more apart, so the
+    rounding of t lambda alone can move the phase of e^{it lambda} by a
+    radian.
     """
     times = [float(t) for t in times]
     if not all(math.isfinite(t) for t in times):
         raise ValueError("evolve needs finite times")
+    lo, hi = gershgorin_interval(H)
+    reach = max(map(abs, times), default=0.0) * max(abs(lo), abs(hi))
+    if reach > 2.0**53:
+        raise OutOfRange(f"max |t| * ||H|| = {reach:.3e} exceeds 2^53: phases lost to rounding")
     spectrum, basis = _eigensystem(H)
     lams = np.asarray(spectrum.eigenvalues)
     first_components = basis[0, :]
@@ -238,7 +251,17 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     symmetric chain; a fully reorthogonalized Lanczos pass on
     diag(lambda) started from the weight vector reads off the recurrence
     coefficients.  The result is validated against the contract
-    (persymmetry within 1e-10, eigenvalues within 1e-8, both scaled).
+    (persymmetry within 1e-10, eigenvalues within delta = 1e-8, both
+    scaled by max(1, max |lambda|)); InternalCheckFailed names the first
+    index that fails.
+
+    The eigenvalues are certified, not recomputed: one Sturm count of the
+    designed chain at the 2N shifts lambda_k -+ delta.  count(lambda_k -
+    delta) <= k says that at most k eigenvalues lie below lambda_k - delta,
+    and k < count(lambda_k + delta) that at least k + 1 lie below
+    lambda_k + delta, so the k-th eigenvalue lies in [lambda_k - delta,
+    lambda_k + delta] (Sylvester's law of inertia; an exact hit counts as
+    below).  No gap condition is needed.
     """
     lams = np.asarray(spectrum.eigenvalues, dtype=float)
     n = lams.size
@@ -279,10 +302,15 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     designed = JacobiMatrix(tuple(map(float, diag)), tuple(map(float, off)))
     if not is_persymmetric(designed, 1e-10 * scale):
         raise InternalCheckFailed("designed matrix failed its persymmetry contract")
-    recomputed = eigenvalues(designed).eigenvalues
-    worst = max(abs(a - b) for a, b in zip(recomputed, spectrum.eigenvalues))
-    if worst > 1e-8 * scale:
+    delta = 1e-8 * scale
+    below, above = _count_less(_scaled(designed), (lams - delta, lams + delta))
+    index = np.arange(n)
+    missed = np.flatnonzero((below > index) | (above <= index))
+    if missed.size:
+        k = int(missed[0])
         raise InternalCheckFailed(
-            f"designed matrix failed its spectrum contract by {worst:.3e}"
+            f"designed matrix failed its spectrum contract at eigenvalue {k}: "
+            f"{below[k]} eigenvalues lie below {lams[k]:.17g} - {delta:.3e} and {above[k]} "
+            f"below {lams[k]:.17g} + {delta:.3e}, where at most {k} and more than {k} are due"
         )
     return designed

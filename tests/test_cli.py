@@ -13,7 +13,10 @@ from palinfrac.polynomial import Polynomial
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    try:  # click < 8.2 mixes stderr into the output unless told not to
+        return CliRunner(mix_stderr=False)
+    except TypeError:  # click 8.2 dropped the option and keeps stderr apart
+        return CliRunner()
 
 
 @pytest.fixture
@@ -245,6 +248,14 @@ class TestPst:
         else:
             assert result.exit_code == 1
             assert json.loads(result.stderr)["error"] == "InternalCheckFailed"
+
+    @pytest.mark.parametrize("t1", ["1e300", "1e308"])
+    def test_simulate_time_beyond_phase_resolution(self, runner, tmp_path, t1):
+        matrix = tmp_path / "two.json"
+        matrix.write_text(json.dumps(JacobiMatrix((0.0, 0.0), (2.0,)).to_json_obj()))
+        result = runner.invoke(main, ["pst", "simulate", str(matrix), "--t1", t1, "--steps", "2"])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "OutOfRange"
 
     @pytest.mark.parametrize(
         "times",

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from palinfrac.jacobi import (
     JacobiMatrix,
     Spectrum,
     _count_less,
+    _scaled,
     charpoly_check,
     eigenvalues,
     eigenvector,
@@ -190,7 +192,7 @@ class TestEigenvalues:
 
     def test_sturm_count_totals(self, chain3):
         lo, hi = gershgorin_interval(chain3)
-        counts = _count_less(chain3, [lo - 1e-9, hi + 1e-9, 0.5, 0.0])
+        counts = _count_less(_scaled(chain3), [lo - 1e-9, hi + 1e-9, 0.5, 0.0])
         # the zero pivot at the eigenvalue 0 turns negative: an exact hit counts as below
         assert counts.tolist() == [0, 3, 2, 2]
 
@@ -213,7 +215,7 @@ class TestEigenvalues:
             eigs = np.linalg.eigvalsh(h.dense())
             points = [rng.uniform(-5.0, 5.0) for _ in range(50)]
             shifts = [x for x in points if np.abs(eigs - x).min() > 1e-9]
-            for x, below in zip(shifts, _count_less(h, shifts)):
+            for x, below in zip(shifts, _count_less(_scaled(h), shifts)):
                 signs = [math.copysign(1.0, v) for v in normalized_poly_sequence(h, x) if v != 0.0]
                 changes = sum(left != right for left, right in zip(signs, signs[1:]))
                 assert below == h.size - changes
@@ -225,6 +227,81 @@ class TestEigenvalues:
             lo, hi = gershgorin_interval(h)
             eigs = np.linalg.eigvalsh(h.dense())
             assert lo - 1e-12 <= eigs.min() and eigs.max() <= hi + 1e-12
+
+
+def _keys(x) -> np.ndarray:
+    """Integer keys ordering doubles as their values (-0.0 and 0.0 alike)."""
+    bits = np.asarray(x, dtype=float).view(np.int64)
+    return np.where(bits < 0, -(bits & np.int64(2**63 - 1)), bits)
+
+
+def _values(keys: np.ndarray) -> np.ndarray:
+    return np.copysign(np.abs(keys).view(np.float64), keys)
+
+
+def key_halving_bisection(h: JacobiMatrix) -> np.ndarray:
+    """Every eigenvalue by plain bisection of the keys of its bracket, one
+    pivot count per step: the reference multisection must reproduce bit
+    for bit, including an eigenvalue 0 returned as +0.0."""
+    s = _scaled(h)
+    lo, hi = gershgorin_interval(h)
+    pad = 16 * sys.float_info.epsilon * max(1.0, abs(lo), abs(hi))
+    index = np.arange(h.size)
+    lower = np.full(h.size, _keys(lo - pad))
+    upper = np.full(h.size, _keys(hi + pad))
+    while True:
+        mid = (lower >> 1) + (upper >> 1) + (lower & upper & 1)  # floor((lower + upper) / 2)
+        if not (mid > lower).any():
+            break
+        above = _count_less(s, _values(mid)) > index
+        upper = np.where(above, mid, upper)
+        lower = np.where(above, lower, mid)
+    found = 0.5 * (_values(lower) + _values(upper))
+    found[np.abs(found) <= s.pivmin / s.factor] = 0.0
+    return found
+
+
+def _multisection_chains():
+    rng = random.Random(61)
+    chains = [(f"krawtchouk-{n}", krawtchouk(n)) for n in [*range(2, 66), 1024]]
+    chains += [(f"random-{n}", random_jacobi(rng, n, 1e-9)) for n in (2, 3, 5, 16, 17, 64, 69, 147, 342)]
+    for b in (1e-200, 1e200):
+        chains.append((f"three-site-{b:g}", JacobiMatrix((0.0, 0.0, 0.0), (b, b))))
+        base = random_jacobi(rng, 20)
+        chains.append((f"random-20x{b:g}", JacobiMatrix([a * b for a in base.diag], [c * b for c in base.offdiag])))
+    chains.append(("zero-diagonal-5", JacobiMatrix((0.0,) * 5, (1.0, 2.0, 0.5, 3.0))))
+    chains.append(("across-zero", JacobiMatrix((-3.0, 0.0, 3.0), (1.0, 1.0))))
+    chains.append(("positive", JacobiMatrix([10.0 + k for k in range(30)], [0.1] * 29)))
+    return [pytest.param(h, id=name) for name, h in chains]
+
+
+class TestMultisection:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", _multisection_chains())
+    def test_bit_identical_to_bisection(self, h):
+        lo, hi = gershgorin_interval(h)
+        found = np.asarray(eigenvalues(h, (hi - lo) / (h.size - 1) * 1e-14).eigenvalues)
+        assert found.view(np.int64).tolist() == key_halving_bisection(h).view(np.int64).tolist()
+
+    def test_bracket_across_zero_is_wider_than_int64(self):
+        # the key width of a bracket across 0 is the sum of two keys above 2^62
+        lo, hi = gershgorin_interval(JacobiMatrix((-3.0, 0.0, 3.0), (1.0, 1.0)))
+        assert int(_keys(hi)) - int(_keys(lo)) > 2**63
+
+    @pytest.mark.parametrize("n", [3, 17, 256])
+    def test_prepares_the_matrix_once(self, n, monkeypatch):
+        import palinfrac.jacobi as jacobi_module
+
+        calls = []
+        scaled = jacobi_module._scaled
+
+        def counting(h):
+            calls.append(h)
+            return scaled(h)
+
+        monkeypatch.setattr(jacobi_module, "_scaled", counting)
+        eigenvalues(krawtchouk(n))
+        assert len(calls) == 1
 
 
 class TestEigenvector:
@@ -294,8 +371,8 @@ class TestKrawtchoukScale:
         n = 1024
         h = krawtchouk(n)
         exact = np.arange(n) - (n - 1) / 2
-        assert set((_count_less(h, exact) - np.arange(n)).tolist()) <= {0, 1}
-        assert _count_less(h, exact + 0.5).tolist() == list(range(1, n + 1))
+        assert set((_count_less(_scaled(h), exact) - np.arange(n)).tolist()) <= {0, 1}
+        assert _count_less(_scaled(h), exact + 0.5).tolist() == list(range(1, n + 1))
 
     def test_bisection_ends_within_64_counts(self, monkeypatch):
         # odd size: the eigenvalue 0 is hit exactly by a bracket end
@@ -304,14 +381,18 @@ class TestKrawtchoukScale:
         shifts = []
         count = jacobi_module._count_less
 
-        def counting(h, x):
-            shifts.append(x)
-            return count(h, x)
+        def counting(s, x):
+            shifts.append(np.asarray(x))
+            return count(s, x)
 
         monkeypatch.setattr(jacobi_module, "_count_less", counting)
         # resolved to pivmin = tiny * max b^2, the width of the pivot guard, and returned as 0
         assert abs(eigenvalues(krawtchouk(65)).eigenvalues[32]) <= 1e-300
-        assert len(shifts) <= 64
+        # N = 65: b = 4, the largest b <= 6 with 65 (2^b - 1) <= 1024; each pass
+        # divides the fewer than 2^64 doubles of a bracket by 2^b
+        b = 4
+        assert all(x.size == 65 * (2**b - 1) for x in shifts)
+        assert len(shifts) <= math.ceil(64 / b)
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_eigenvectors_first_components(self, n):

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import palinfrac.pst as pst_module
 from genutil import krawtchouk, perturb_asymmetric, random_jacobi, random_persymmetric, wilkinson
 from palinfrac.errors import (
     DegenerateSpectrum,
     IncommensurableSpectrum,
+    InternalCheckFailed,
     NoOddScaling,
     NotPersymmetric,
+    OutOfRange,
     PalinfracError,
 )
 from palinfrac.jacobi import (
@@ -145,6 +148,23 @@ class TestEvolve:
         with pytest.raises(ValueError):
             fidelity(chain3, t)
 
+    @pytest.mark.parametrize("t", [1e300, 1e308, -1e308])
+    def test_time_beyond_phase_resolution_is_out_of_range(self, t):
+        # two sites, coupling 2: t = 1e300 gave fidelity 0.886, t = 1e308 a false
+        # unitarity failure after an overflow
+        h = JacobiMatrix((0.0, 0.0), (2.0,))
+        with pytest.raises(OutOfRange):
+            fidelity(h, t)
+        with pytest.raises(OutOfRange):
+            evolve(h, (0.0, t))
+
+    def test_phase_resolution_bound(self):
+        # ||H|| = 1: max |t| ||H|| = 2^53 is the last time accepted
+        h = JacobiMatrix((0.0, 0.0), (1.0,))
+        assert 0.0 <= fidelity(h, 2.0**53) <= 1.0
+        with pytest.raises(OutOfRange):
+            fidelity(h, math.nextafter(2.0**53, math.inf))
+
     def test_csv_shape(self, chain3):
         trace = evolve(chain3, (0.0, 1.0))
         buffer = io.StringIO()
@@ -195,6 +215,78 @@ class TestDesign:
         cert = verify_pst(h)
         assert cert.T == pytest.approx(math.pi, rel=1e-12)
         assert fidelity(h, cert.T) >= 1.0 - 1e-8
+
+
+def equally_spaced(n: int) -> Spectrum:
+    return Spectrum([k - (n - 1) / 2 for k in range(n)], 1e-9)
+
+
+DELTA_12 = 1e-8 * 5.5  # the certificate's half-width for equally_spaced(12)
+
+
+class TestDesignCertificate:
+    @pytest.mark.parametrize("n", [16, 256, 1024])
+    def test_design_runs_no_bisection(self, n, monkeypatch):
+        def no_eigenvalues(*args):
+            raise AssertionError("design_persymmetric bisected")
+
+        monkeypatch.setattr(pst_module, "eigenvalues", no_eigenvalues)
+        h = design_persymmetric(equally_spaced(n))
+        assert np.abs(np.asarray(h.offdiag) - krawtchouk(n).offdiag).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_odd_gap_designs_match_dense_solver(self, n):
+        rng = random.Random(n)
+        gaps = [rng.choice((1, 3, 5)) for _ in range(n - 1)]
+        lams = np.cumsum([0.0, *gaps]) - sum(gaps) / 2
+        h = design_persymmetric(Spectrum(lams, 1e-9))
+        scale = max(1.0, float(np.abs(lams).max()))
+        assert np.abs(np.linalg.eigvalsh(h.dense()) - lams).max() <= 1e-8 * scale
+
+    @pytest.mark.parametrize("k", [0, 5, 11])
+    @pytest.mark.parametrize("move", [-3.0, 3.0])
+    def test_moved_eigenvalue_is_caught_at_its_index(self, k, move, monkeypatch):
+        # shifting both counts of lambda_k certifies lambda_k + move * delta instead
+        count = pst_module._count_less
+
+        def moved(s, shifts):
+            shifts = np.array(shifts)
+            shifts[:, k] += move * DELTA_12
+            return count(s, shifts)
+
+        monkeypatch.setattr(pst_module, "_count_less", moved)
+        with pytest.raises(InternalCheckFailed, match=rf"at eigenvalue {k}:"):
+            design_persymmetric(equally_spaced(12))
+
+    def test_eigenvalue_moved_within_delta_passes(self, monkeypatch):
+        count = pst_module._count_less
+        monkeypatch.setattr(pst_module, "_count_less", lambda s, x: count(s, np.asarray(x) + 0.5 * DELTA_12))
+        design_persymmetric(equally_spaced(12))
+
+    @pytest.mark.parametrize("row, change", [(0, 1), (1, -1)])
+    def test_count_off_by_one_is_caught(self, row, change, monkeypatch):
+        count = pst_module._count_less
+
+        def off_by_one(s, shifts):
+            counts = count(s, shifts)
+            counts[row, 7] += change
+            return counts
+
+        monkeypatch.setattr(pst_module, "_count_less", off_by_one)
+        with pytest.raises(InternalCheckFailed, match="at eigenvalue 7:"):
+            design_persymmetric(equally_spaced(12))
+
+    def test_perturbed_design_is_caught(self, monkeypatch):
+        # the diagonal raised by 3 delta keeps the chain persymmetric and moves
+        # every eigenvalue by 3 delta; the first index fails
+        scaled = pst_module._scaled
+
+        def perturbed(h):
+            return scaled(JacobiMatrix([a + 3 * DELTA_12 for a in h.diag], h.offdiag))
+
+        monkeypatch.setattr(pst_module, "_scaled", perturbed)
+        with pytest.raises(InternalCheckFailed, match="at eigenvalue 0:"):
+            design_persymmetric(equally_spaced(12))
 
 
 @pytest.mark.filterwarnings("error")

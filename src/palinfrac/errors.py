@@ -29,14 +29,6 @@ class DegreeMismatch(PalinfracError):
     code = "DegreeMismatch"
 
 
-class RemainderDegreeDrop(PalinfracError):
-    code = "RemainderDegreeDrop"
-
-
-class ZeroRemainder(PalinfracError):
-    code = "ZeroRemainder"
-
-
 class NotInterlacing(PalinfracError):
     code = "NotInterlacing"
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, NotAnEigenvalue, SizeTooSmall, ToleranceTooLoose
 from .jfraction import JFraction
+from .polynomial import three_term
 
 __all__ = [
     "JacobiMatrix",
@@ -131,34 +132,25 @@ def from_jfraction(jf: JFraction) -> JacobiMatrix:
     )
 
 
-def _boundary_couplings(H: JacobiMatrix) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(b_{k-1})_k and (b_k)_k for k = 0..N with b_{-1} = b_N = 1."""
-    return (1.0,) + H.offdiag, H.offdiag + (1.0,)
-
-
 def normalized_poly_sequence(H: JacobiMatrix, x: float) -> list[float]:
-    """Values p_0(x), ..., p_{N+1}(x) of the normalized recurrence at x."""
-    left, right = _boundary_couplings(H)
-    values = [1.0]
-    prev, cur = 0.0, 1.0
-    for k in range(H.size):
-        prev, cur = cur, ((x - H.diag[k]) * cur - left[k] * prev) / right[k]
-        values.append(cur)
-    return values
+    """Values p_0(x), ..., p_{N+1}(x) of the normalized recurrence at a
+    finite x: `three_term` with steps ((x - a_k) / b_k, -b_{k-1} / b_k)."""
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    left, right = (1.0,) + H.offdiag, H.offdiag + (1.0,)  # b_{-1} = b_N = 1
+    steps = [((x - a) / b, -b_prev / b) for a, b_prev, b in zip(H.diag, left, right)]
+    return three_term(steps, (0.0, 1.0))
 
 
 def charpoly_check(H: JacobiMatrix, x: float) -> float:
     """Relative disagreement between p_{N+1}(x) and
-    det(xI - H) / (b_0...b_{N-1}), the latter from the leading-minor
-    recurrence.  Contract: <= 1e-10 for any x."""
+    det(xI - H) / (b_0...b_{N-1}), the latter from the independent
+    leading-minor recurrence, steps (x - a_k, -b_{k-1}^2).  Contract:
+    <= 1e-10 for any finite x."""
     recurrence_value = normalized_poly_sequence(H, x)[-1]
-    minor_prev, minor = 1.0, x - H.diag[0]
-    for k in range(1, H.size):
-        minor_prev, minor = minor, (x - H.diag[k]) * minor - H.offdiag[k - 1] ** 2 * minor_prev
-    coupling_product = 1.0
-    for b in H.offdiag:
-        coupling_product *= b
-    determinant_value = minor / coupling_product
+    steps = [(x - a, -b_prev * b_prev) for a, b_prev in zip(H.diag, (1.0,) + H.offdiag)]
+    minor = three_term(steps, (0.0, 1.0))[-1]
+    determinant_value = minor / math.prod(H.offdiag)
     return abs(recurrence_value - determinant_value) / max(
         1.0, abs(recurrence_value), abs(determinant_value)
     )
@@ -326,8 +318,8 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
 
 
 def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:
-    """Unit eigenvectors of H as columns, one per eigenvalue in lams, by
-    twisted factorization.
+    """Unit eigenvectors of H as columns, one per eigenvalue in lams (an
+    N x 0 array for none), by twisted factorization.
 
     For each lam the forward pivots D+ and backward pivots D- of H - lam I
     give gamma_k = D+_k + D-_k - (a_k - lam), the reciprocal of the k-th
@@ -340,6 +332,8 @@ def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:
     s = _scaled(H)
     lams = np.asarray(tuple(lams), dtype=float) * s.factor
     n = H.size
+    if not lams.size:
+        return np.zeros((n, 0))
     forward = np.empty((n, lams.size))
     backward = np.empty((n, lams.size))
     for k, (pivot, _) in enumerate(_pivots(s, lams)):

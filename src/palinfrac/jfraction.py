@@ -14,10 +14,14 @@ polynomial three-term recurrences
 seeded with P_{-1} = 0, P_0 = 1, Q_{-1} = -1, Q_0 = 0 and the convention
 b_{-1} = 1.  Conversely a monic pair with deg P = deg Q + 1 expands into a
 J-fraction exactly when the zeros of P and Q are real and strictly
-interlacing; the expansion below is pure coefficient arithmetic, one
-division level at a time, and never computes a root.  A non-positive
-coupling or a remainder of the wrong degree is the arithmetic signature of
-non-interlacing zeros.
+interlacing.  A J-fraction is the linear case of a P-fraction: the
+Euclidean expansion of Q/P (`pfraction`) has partial quotients
+c_k (x - a_k) with every c_k > 0, and b_k^2 = 1 / (c_k c_{k+1}) makes
+every level monic.  The expansion is pure coefficient arithmetic and never
+computes a root.  Its failure signatures are a partial quotient of degree
+>= 2 (a remainder dropped degree), one with c_k <= 0 (a non-positive
+coupling) and a vanished remainder (a common factor); each means the zeros
+do not strictly interlace.
 
 A J-fraction is palindromic when a_k = a_{N-k} and b_k^2 = b_{N-1-k}^2.
 That is equivalent to the exact divisibility of Q^2 - b_0^2...b_{N-1}^2 by
@@ -40,19 +44,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import (
-    DegreeMismatch,
-    InternalCheckFailed,
-    NotInterlacing,
-    RemainderDegreeDrop,
-    ZeroRemainder,
-)
+from .errors import DegreeMismatch, InternalCheckFailed, NotCoprime, NotInterlacing
+from .pfraction import _euclid
 from .polynomial import ONE, X, ZERO, Polynomial, format_rational, parse_rational, poly_divmod, three_term
 
 __all__ = [
     "JFraction",
     "JPalindromeDecision",
-    "jstep",
     "expand_jfraction",
     "jfraction_to_rational",
     "is_palindromic_jfraction",
@@ -115,40 +113,20 @@ class JPalindromeDecision:
     jfraction: JFraction
 
 
-def jstep(P: Polynomial, Q: Polynomial) -> tuple[Fraction, Fraction, Polynomial]:
-    """One division level: write P = (x - a) Q - b2 * R with R monic of
-    degree deg P - 2.
-
-    ``a`` comes from matching the x^(n-1) coefficient, which is the Vieta
-    value (sum of the roots of P) - (sum of the roots of Q); ``b2`` is the
-    leading coefficient of (x - a) Q - P and may come out negative, the
-    caller decides what a non-positive coupling means.  Requires monic
-    inputs with deg P = deg Q + 1 >= 2.
-    """
-    n = P.degree
-    if not (P.is_monic and Q.is_monic) or n != Q.degree + 1 or n < 2:
-        raise DegreeMismatch(
-            f"jstep needs monic P, Q with deg P = deg Q + 1 >= 2, got deg {n} and {Q.degree}"
-        )
-    a = Q.coeff(n - 2) - P.coeff(n - 1)
-    rem = (X - Polynomial((a,))) * Q - P
-    if rem.is_zero:
-        raise ZeroRemainder(f"P = (x - {a}) Q exactly; the pair is not coprime")
-    if rem.degree < n - 2:
-        raise RemainderDegreeDrop(
-            f"remainder degree {rem.degree} < {n - 2}; no monic R of the required degree"
-        )
-    b2 = rem.leading_coefficient
-    return a, b2, rem.monic()
-
-
 def expand_jfraction(Q: Polynomial, P: Polynomial) -> JFraction:
-    """Expand Q/P into a J-fraction, or raise NotInterlacing.
+    """Expand Q/P into a J-fraction, or raise NotInterlacing at the first
+    level that shows the zeros of P and Q do not strictly interlace.
 
-    Inputs must be monic with deg P = deg Q + 1.  The expansion iterates
-    `jstep`; a non-positive coupling, a vanished remainder, or a remainder
-    degree drop all certify that the zeros of P and Q are not real and
-    strictly interlacing.
+    Inputs must be monic with deg P = deg Q + 1.  The J-fraction is read
+    off the partial quotients of the P-fraction Euclid (`pfraction._euclid`):
+    it exists exactly when every quotient is p_k = c_k (x - a_k) with
+    c_k > 0, and then b_k^2 = 1 / (c_k c_{k+1}), the equivalence
+    transformation that makes every level monic.  Proof: for monic P and Q,
+    c_0 = 1.  A level P = (x - a) Q - b^2 R with R monic is
+    divmod(P, Q) = (x - a, -b^2 R), so the next quotient, of Q by b^2 R,
+    has c = 1 / b^2.  Hence a zero remainder is NotCoprime, a remainder that
+    drops degree shows up as a next quotient of degree >= 2, and a coupling
+    b^2 <= 0 as some c_k <= 0; all three are reported as NotInterlacing.
     """
     if not (P.is_monic and Q.is_monic):
         raise DegreeMismatch("expand_jfraction needs monic P and Q")
@@ -157,21 +135,20 @@ def expand_jfraction(Q: Polynomial, P: Polynomial) -> JFraction:
             f"need deg P = deg Q + 1, got deg P = {P.degree}, deg Q = {Q.degree}"
         )
     a_terms: list[Fraction] = []
-    b2_terms: list[Fraction] = []
-    cur_p, cur_q = P, Q
-    while cur_p.degree >= 2:
-        try:
-            a, b2, rest = jstep(cur_p, cur_q)
-        except (ZeroRemainder, RemainderDegreeDrop) as exc:
-            raise NotInterlacing(str(exc)) from exc
-        if b2 <= 0:
-            raise NotInterlacing(f"non-positive coupling b^2 = {b2} at level {len(a_terms)}")
-        a_terms.append(a)
-        b2_terms.append(b2)
-        cur_p, cur_q = cur_q, rest
-    # cur_p = x - a_N and cur_q is the monic constant 1
-    a_terms.append(-cur_p.coeff(0))
-    return JFraction(a_terms, b2_terms)
+    scales: list[Fraction] = []
+    try:
+        for k, quotient in enumerate(_euclid(Q, P)):
+            c = quotient.leading_coefficient
+            if quotient.degree != 1 or c <= 0:
+                raise NotInterlacing(
+                    f"partial quotient {k} has degree {quotient.degree} and leading "
+                    f"coefficient {c}, not c (x - a) with c > 0"
+                )
+            a_terms.append(-quotient.coeff(0) / c)
+            scales.append(c)
+    except NotCoprime as exc:
+        raise NotInterlacing(str(exc)) from exc
+    return JFraction(a_terms, (1 / (c * d) for c, d in zip(scales, scales[1:])))
 
 
 def jfraction_to_rational(jf: JFraction) -> tuple[Polynomial, Polynomial, tuple[list, list]]:

@@ -8,7 +8,10 @@ where each partial quotient p_k is a polynomial division quotient: one
 Euclidean step maps the pair (Q, P) to (p Q - P, Q) with p = quo(P, Q) and
 the expansion stops when the new remainder vanishes.  Every partial
 quotient of such a canonical expansion has degree >= 1 and the quotient
-list is unique.
+list is unique.  This one Euclid loop (`_euclid`) also expands
+J-fractions: a J-fraction is the P-fraction whose partial quotients are
+all linear, c_k (x - a_k) with c_k > 0, brought to monic form (see
+`jfraction.expand_jfraction`).
 
 Reconstruction (`polynomial.three_term`) runs P_{k+1} = p_k P_k - P_{k-1} and
 Q_{k+1} = p_k Q_k - Q_{k-1} from the seeds P_{-1} = 0, P_0 = 1,
@@ -34,7 +37,7 @@ flag separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DegreeError, InternalCheckFailed, NotCoprime
 from .polynomial import ONE, ZERO, Polynomial, poly_divmod, three_term
@@ -94,8 +97,9 @@ class PPalindromeDecision:
     pfraction: PFraction
 
 
-def expand_pfraction(Q: Polynomial, P: Polynomial) -> PFraction:
-    """Partial quotients of Q/P from the Euclidean algorithm.
+def _euclid(Q: Polynomial, P: Polynomial) -> Iterator[Polynomial]:
+    """Partial quotients of Q/P, yielded one Euclidean step at a time, so a
+    caller can stop at the first quotient it rejects.
 
     Raises NotCoprime when a remainder vanishes while the divisor still
     has positive degree (nonconstant gcd), DegreeError for an improper or
@@ -105,19 +109,23 @@ def expand_pfraction(Q: Polynomial, P: Polynomial) -> PFraction:
         raise DegreeError("both polynomials must be nonzero")
     if Q.degree >= P.degree:
         raise DegreeError(f"need deg Q < deg P, got {Q.degree} >= {P.degree}")
-    quotients = []
     num, den = Q, P
     while True:
         quotient, remainder = poly_divmod(den, num)
-        quotients.append(quotient)
+        yield quotient
         if remainder.is_zero:
             if num.degree >= 1:
                 raise NotCoprime(
                     f"gcd has positive degree {num.degree}; the pair is not coprime"
                 )
-            break
+            return
         num, den = -remainder, num  # quotient * num - den = -remainder
-    return PFraction(quotients)
+
+
+def expand_pfraction(Q: Polynomial, P: Polynomial) -> PFraction:
+    """Partial quotients of Q/P from the Euclidean algorithm; raises
+    NotCoprime or DegreeError as `_euclid` does."""
+    return PFraction(_euclid(Q, P))
 
 
 def _reconstruct_raw(pf: PFraction) -> tuple[list[Polynomial], list[Polynomial]]:

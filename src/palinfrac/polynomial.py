@@ -143,7 +143,9 @@ class Polynomial:
 
     @property
     def is_monic(self) -> bool:
-        return bool(self._ints) and self._content * self._ints[-1] == 1
+        # content * lead == 1 with lead > 0, read off the reduced content
+        c = self._content
+        return bool(self._ints) and c.numerator == 1 and c.denominator == self._ints[-1]
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of x^i, zero beyond the stored degree."""
@@ -313,7 +315,7 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
 
     Fraction-free on the integer vectors: the running remainder is an
     integer list over one shared denominator, reduced by one vector gcd
-    whenever that denominator grows."""
+    whenever that denominator grows (after the last step, by `_primitive`)."""
     if den.is_zero:
         raise DivisionByZeroPolynomial("polynomial division by zero")
     if num.degree < den.degree:
@@ -322,25 +324,27 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
     dn, lead = len(d), d[-1]
     rem = list(num._ints)  # running remainder of the primitive parts: rem / scale
     scale = 1
-    quot = [0] * (len(rem) - dn + 1)
+    quot = [0] * (len(rem) - dn + 1)  # quot[i] / dens[i] is the x^i coefficient
+    dens = [1] * len(quot)
     for shift in range(len(rem) - dn, -1, -1):
         top = rem.pop()
         if not top:
             continue
         g = gcd(top, lead)
         m, t = lead // g, top // g  # m * top = t * lead
-        quot[shift] = Fraction(t, scale * m)
+        quot[shift], dens[shift] = t, scale * m
         if m == 1:
             rem[shift:] = [r - t * w for r, w in zip(rem[shift:], d)]
         else:
             rem = [m * r for r in rem[:shift]] + [m * r - t * w for r, w in zip(rem[shift:], d)]
             scale *= m
-            g = gcd(scale, *rem)
+            g = gcd(scale, *rem) if shift else 1  # _primitive reduces the last
             if g != 1:
                 rem = [r // g for r in rem]
                 scale //= g
     cn, cd = num._content, den._content
-    qden, qints = _lcm_form(quot)
+    qden = lcm(*dens)
+    qints = [q * (qden // qd) for q, qd in zip(quot, dens)]
     quotient = _make(*_primitive(cn.numerator * cd.denominator, cn.denominator * cd.numerator * qden, qints))
     return quotient, _make(*_primitive(cn.numerator, cn.denominator * scale, rem))
 

@@ -166,7 +166,7 @@ def check_pst1_spectrum(spectrum: Spectrum, T: float, phi: float, tolphase: floa
     top = len(spectrum.eigenvalues) - 1
     for k, lam in enumerate(spectrum.eigenvalues):
         drift = math.remainder(T * lam + phi - (top + k) * math.pi, TWO_PI)
-        if abs(drift) > tolphase:
+        if not abs(drift) <= tolphase:  # a NaN drift or tolphase certifies nothing
             return False
     return True
 

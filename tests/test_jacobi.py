@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import palinfrac.jacobi as jacobi_module
 from genutil import krawtchouk, random_jacobi
 from palinfrac.errors import (
     DegenerateSpectrum,
@@ -132,6 +133,22 @@ class TestCharpolyCheck:
             for _ in range(100):
                 x = rng.uniform(-5.0, 5.0)
                 assert charpoly_check(h, x) <= 1e-10
+
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_rejected(self, chain3, x):
+        with pytest.raises(ValueError, match="finite"):
+            normalized_poly_sequence(chain3, x)
+        with pytest.raises(ValueError, match="finite"):
+            charpoly_check(chain3, x)
+
+    def test_minors_do_not_reuse_the_normalized_values(self, chain3, monkeypatch):
+        # doubling the normalized values must show up as a disagreement
+        honest = normalized_poly_sequence
+        monkeypatch.setattr(
+            jacobi_module, "normalized_poly_sequence", lambda h, x: [2.0 * v for v in honest(h, x)]
+        )
+        assert charpoly_check(chain3, 2.0) >= 0.4
 
 
 class TestTruncation:
@@ -348,6 +365,11 @@ class TestEigenvector:
         basis = eigenvectors(h, lams)
         for k, lam in enumerate(lams):
             assert np.abs(basis[:, k] - eigenvector(h, lam)).max() <= 1e-14
+
+    def test_no_eigenvalues_give_no_columns(self, chain3):
+        for h in (chain3, JacobiMatrix((4.0,), ())):
+            basis = eigenvectors(h, [])
+            assert basis.shape == (h.size, 0)
 
     def test_zero_pivot_at_eigenvalue_zero(self):
         # zero diagonal, odd size: the pivots at lam = 0 alternate between

@@ -1,3 +1,4 @@
+import collections
 import copy
 import pickle
 import random
@@ -13,12 +14,8 @@ from genutil import (
     random_nonpalindromic_jfraction,
     random_palindromic_jfraction,
 )
-from palinfrac.errors import (
-    DegreeMismatch,
-    NotInterlacing,
-    RemainderDegreeDrop,
-    ZeroRemainder,
-)
+from palinfrac import pfraction
+from palinfrac.errors import DegreeMismatch, NotInterlacing
 from palinfrac.jfraction import (
     JFraction,
     cauchy_root_bound,
@@ -28,10 +25,9 @@ from palinfrac.jfraction import (
     interlacing_check,
     is_palindromic_jfraction,
     jfraction_to_rational,
-    jstep,
     sturm_chain,
 )
-from palinfrac.polynomial import ONE, X, Polynomial, chebyshev_t, chebyshev_u
+from palinfrac.polynomial import ONE, X, ZERO, Polynomial, chebyshev_t, chebyshev_u, three_term
 
 X2M1 = Polynomial((-1, 0, 1))
 CUBIC = Polynomial((0, -1, 0, 1))               # x^3 - x
@@ -54,41 +50,13 @@ class TestJFractionType:
         assert JFraction.from_json_obj(jf.to_json_obj()) == jf
 
 
-class TestJStep:
-    def test_split_examples(self):
-        assert jstep(CUBIC, HALF_SHIFT) == (0, Fraction(1, 2), X)
-        assert jstep(NONINTER_P, NONINTER_Q) == (
-            9,
-            -36,
-            Polynomial((Fraction(1, 3), 1)),
-        )
-        assert jstep(X2M1, X) == (0, 1, ONE)
-
-    def test_contract_remultiplies(self):
-        a, b2, rest = jstep(CUBIC, HALF_SHIFT)
-        assert (X - Polynomial((a,))) * HALF_SHIFT - b2 * rest == CUBIC
-
-    def test_zero_remainder(self):
-        with pytest.raises(ZeroRemainder):
-            jstep(Polynomial((0, 0, 1)), X)  # x^2 = x * x
-
-    def test_remainder_degree_drop(self):
-        with pytest.raises(RemainderDegreeDrop):
-            jstep(Polynomial((1, 0, 0, 1)), Polynomial((0, 0, 1)))  # x^3+1 vs x^2
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(DegreeMismatch):
-            jstep(X, ONE)  # degree too small for a split
-        with pytest.raises(DegreeMismatch):
-            jstep(2 * CUBIC, HALF_SHIFT)
-
-
 class TestExpand:
     def test_examples(self):
         jf = expand_jfraction(HALF_SHIFT, CUBIC)
         assert jf.a == (0, 0, 0)
         assert jf.b2 == (Fraction(1, 2), Fraction(1, 2))
 
+        # (x-1)(x-2)(x-3) = (x - 9)(x+1)(x+2) + 36 (x + 1/3): b^2 = -36
         with pytest.raises(NotInterlacing):
             expand_jfraction(NONINTER_Q, NONINTER_P)
 
@@ -100,6 +68,8 @@ class TestExpand:
             expand_jfraction(ONE, X2M1)
         with pytest.raises(DegreeMismatch):
             expand_jfraction(2 * X, X2M1)
+        with pytest.raises(DegreeMismatch):
+            expand_jfraction(HALF_SHIFT, 2 * CUBIC)
 
     def test_noncoprime_pair_reported_as_noninterlacing(self):
         # P = (x+1) Q shares both roots with Q
@@ -114,6 +84,131 @@ class TestExpand:
             jf = random_jfraction(rng)
             q, p, _ = jfraction_to_rational(jf)
             assert expand_jfraction(q, p) == jf
+
+    def test_single_level_cases(self):
+        # x / (x^2 - 1): one level, a = (0, 0), b^2 = 1
+        assert expand_jfraction(X, X2M1) == JFraction((0, 0), (1,))
+        assert expand_jfraction(ONE, X) == JFraction((0,), ())
+        # x^2 = x * x: the first remainder vanishes
+        with pytest.raises(NotInterlacing):
+            expand_jfraction(X, Polynomial((0, 0, 1)))
+        # x^3 + 1 = x * x^2 + 1: the remainder drops from degree 1 to 0
+        with pytest.raises(NotInterlacing):
+            expand_jfraction(Polynomial((0, 0, 1)), Polynomial((1, 0, 0, 1)))
+
+
+def _level_by_level(Q, P):
+    """J-fraction of Q/P one division level at a time, independent of the
+    P-fraction Euclid: P = (x - a) Q - b^2 R with R monic of degree
+    deg P - 2, ``a`` from the x^(n-1) coefficients.  Where that fails,
+    the name of the failure instead."""
+    a_terms, b2_terms = [], []
+    while P.degree >= 2:
+        n = P.degree
+        a = Q.coeff(n - 2) - P.coeff(n - 1)
+        rem = (X - Polynomial((a,))) * Q - P
+        if rem.is_zero:
+            return "zero remainder"
+        if rem.degree < n - 2:
+            return "degree drop"
+        if rem.leading_coefficient <= 0:
+            return "non-positive coupling"
+        a_terms.append(a)
+        b2_terms.append(rem.leading_coefficient)
+        P, Q = Q, rem.monic()
+    return JFraction(a_terms + [-P.coeff(0)], b2_terms)
+
+
+def _random_monic_pair(rng, n):
+    """Monic (Q, P), deg P = n: from root sets (interlacing or not), from
+    sparse random rational coefficients, or from a J-fraction recurrence whose
+    couplings may have any sign."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        p, q = interlacing_pair(rng, n)
+    elif kind == 1:
+        p, q = poly_from_roots(rng.randint(-6, 6) for _ in range(n)), poly_from_roots(
+            rng.randint(-6, 6) for _ in range(n - 1)
+        )
+    elif kind == 2:
+        # sparse coefficients: vanishing leading remainder coefficients are common
+        def sparse(deg):
+            body = [Fraction(rng.choice((0, 0, rng.randint(-9, 9))), rng.randint(1, 4)) for _ in range(deg)]
+            return Polynomial(body + [1])
+
+        p, q = sparse(n), sparse(n - 1)
+    else:
+        signs = [1 if rng.random() < 0.9 else rng.choice((-1, 0)) for _ in range(n - 1)]
+        steps = [
+            (X - Polynomial((Fraction(rng.randint(-6, 6), rng.randint(1, 3)),)), -b2)
+            for b2 in [Fraction(1)] + [s * Fraction(rng.randint(1, 9), rng.randint(1, 9)) for s in signs]
+        ]
+        p, q = three_term(steps, (ZERO, ONE))[-1], three_term(steps, (-ONE, ZERO))[-1]
+    return q, p
+
+
+class TestEuclidReading:
+    def test_agrees_with_level_by_level_division(self):
+        rng = random.Random(2024)
+        outcomes = collections.Counter()
+        for _ in range(2000):
+            q, p = _random_monic_pair(rng, rng.randint(1, 8))
+            expected = _level_by_level(q, p)
+            if isinstance(expected, JFraction):
+                assert expand_jfraction(q, p) == expected
+                outcomes["expanded"] += 1
+            else:
+                with pytest.raises(NotInterlacing):
+                    expand_jfraction(q, p)
+                outcomes[expected] += 1
+        assert outcomes["expanded"] >= 500
+        assert min(outcomes.values()) >= 50 and len(outcomes) == 4
+
+    @staticmethod
+    def _divisions(monkeypatch, q, p):
+        """Number of polynomial divisions expand_jfraction runs on (q, p)."""
+        calls = []
+        divmod_ = pfraction.poly_divmod
+
+        def counting(num, den):
+            calls.append(None)
+            return divmod_(num, den)
+
+        monkeypatch.setattr(pfraction, "poly_divmod", counting)
+        try:
+            expand_jfraction(q, p)
+        except NotInterlacing:
+            pass
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_rejects_at_the_first_bad_level(self, monkeypatch):
+        # q / p is the Chebyshev J-fraction with 63 levels (all couplings > 0)
+        q = chebyshev_t(62).monic()
+        p = (X2M1 * chebyshev_u(61)).monic()
+        assert self._divisions(monkeypatch, q, p) == 63
+        # p64 = x p + q: the first coupling is b_0^2 = -1
+        p64 = X * p + q
+        assert p64.degree == 64
+        with pytest.raises(NotInterlacing):
+            expand_jfraction(p, p64)
+        assert self._divisions(monkeypatch, p, p64) <= 2
+        # p64 = x p - T_61: the remainder of p64 by p drops to degree 61
+        p64 = X * p - chebyshev_t(61).monic()
+        with pytest.raises(NotInterlacing):
+            expand_jfraction(p, p64)
+        assert self._divisions(monkeypatch, p, p64) <= 2
+
+    @pytest.mark.parametrize("level", [0, 1, 7, 40])
+    def test_negative_coupling_costs_level_plus_two_divisions(self, monkeypatch, level):
+        b2 = [Fraction(1, 4)] * 63
+        b2[level] = Fraction(-1, 4)
+        steps = [(X, -v) for v in [Fraction(1)] + b2]
+        p, q = three_term(steps, (ZERO, ONE))[-1], three_term(steps, (-ONE, ZERO))[-1]
+        assert p.degree == 64
+        with pytest.raises(NotInterlacing, match=f"partial quotient {level + 1} "):
+            expand_jfraction(q, p)
+        assert self._divisions(monkeypatch, q, p) <= level + 2
 
 
 class TestReconstruction:

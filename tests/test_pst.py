@@ -59,6 +59,13 @@ class TestVerify:
         assert cert.T == math.pi
         assert check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, 1e-8)
 
+    def test_nan_certifies_nothing(self, chain3):
+        cert = verify_pst(chain3)
+        assert check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, 1e-8)
+        assert not check_pst1_spectrum(cert.spectrum, math.nan, cert.phi, 1e-8)
+        assert not check_pst1_spectrum(cert.spectrum, cert.T, math.nan, 1e-8)
+        assert not check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, math.nan)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
     def test_rejects_bad_tolerance(self, chain3, tol):
         with pytest.raises(ValueError):

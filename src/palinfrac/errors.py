@@ -1,7 +1,7 @@
 """Domain error hierarchy.
 
-Every error carries a stable ``code`` string so the CLI can emit
-machine-readable ``{"error": code, "detail": ...}`` objects.
+Every error carries a stable ``code`` string, its class name, so the CLI
+can emit machine-readable ``{"error": code, "detail": ...}`` objects.
 """
 
 from __future__ import annotations
@@ -12,60 +12,62 @@ class PalinfracError(Exception):
 
     code = "Error"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
+
 
 class NotCoprime(PalinfracError):
-    code = "NotCoprime"
+    """Two integers or polynomials share a nontrivial common factor."""
 
 
 class OutOfRange(PalinfracError):
-    code = "OutOfRange"
+    """An argument lies outside the range where the operation is defined or accurate."""
 
 
 class DivisionByZeroPolynomial(PalinfracError):
-    code = "DivisionByZeroPolynomial"
+    """Division by, or the monic form of, the zero polynomial."""
 
 
 class DegreeMismatch(PalinfracError):
-    code = "DegreeMismatch"
+    """A J-fraction pair is not monic with deg P = deg Q + 1."""
 
 
 class NotInterlacing(PalinfracError):
-    code = "NotInterlacing"
+    """The zeros of P and Q do not strictly interlace: no J-fraction."""
 
 
 class SizeTooSmall(PalinfracError):
-    code = "SizeTooSmall"
+    """The matrix has too few sites for the operation."""
 
 
 class ToleranceTooLoose(PalinfracError):
-    code = "ToleranceTooLoose"
+    """The tolerance cannot separate the eigenvalues."""
 
 
 class NotAnEigenvalue(PalinfracError):
-    code = "NotAnEigenvalue"
+    """A value is too far from every eigenvalue to give an eigenvector."""
 
 
 class NotPersymmetric(PalinfracError):
-    code = "NotPersymmetric"
+    """The chain is not mirror symmetric."""
 
 
 class IncommensurableSpectrum(PalinfracError):
-    code = "IncommensurableSpectrum"
+    """The eigenvalue gaps have no rational ratios at the requested accuracy."""
 
 
 class NoOddScaling(PalinfracError):
-    code = "NoOddScaling"
+    """The gaps are commensurable, but no time makes every phase an odd multiple of pi."""
 
 
 class DegenerateSpectrum(PalinfracError):
-    code = "DegenerateSpectrum"
+    """Eigenvalues coincide or lie too close together."""
 
 
 class DegreeError(PalinfracError):
-    code = "DegreeError"
+    """A P-fraction pair is zero, improper (deg Q >= deg P) or not monic."""
 
 
 class InternalCheckFailed(PalinfracError):
     """A cross-checked identity failed: indicates a bug, not bad input."""
-
-    code = "InternalCheckFailed"

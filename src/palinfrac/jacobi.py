@@ -164,11 +164,12 @@ def truncate_first(H: JacobiMatrix) -> JacobiMatrix:
 
 
 def gershgorin_interval(H: JacobiMatrix) -> tuple[float, float]:
-    """Closed interval guaranteed to contain every eigenvalue (row-sum bound)."""
+    """Closed interval guaranteed to contain every eigenvalue (row-sum bound);
+    max(|lo|, |hi|) is ||H||_inf.  Any H with ``diag`` and ``offdiag`` works."""
     lo = math.inf
     hi = -math.inf
-    for k in range(H.size):
-        radius = (H.offdiag[k - 1] if k > 0 else 0.0) + (H.offdiag[k] if k < H.size - 1 else 0.0)
+    for k in range(len(H.diag)):
+        radius = (H.offdiag[k - 1] if k > 0 else 0.0) + (H.offdiag[k] if k < len(H.offdiag) else 0.0)
         lo = min(lo, H.diag[k] - radius)
         hi = max(hi, H.diag[k] + radius)
     return lo, hi
@@ -327,10 +328,23 @@ def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:
     the solution of (H - lam I) z = gamma_r e_r is the eigenvector, found
     outward from z_r = 1 in O(N).  The sign makes the first component
     positive.  Every residual ||Hv - lam v|| must come out within
-    1e-8 * ||H||_inf, otherwise NotAnEigenvalue is raised.
+    1e-8 * ||H||_inf, otherwise NotAnEigenvalue is raised, before any
+    arithmetic for a lam that far outside the Gershgorin interval, where no
+    unit vector can.  A NaN or infinite lam is a ValueError.
     """
+    lams = np.asarray(tuple(lams), dtype=float)
+    if not np.isfinite(lams).all():
+        raise ValueError("eigenvectors needs finite eigenvalues")
     s = _scaled(H)
-    lams = np.asarray(tuple(lams), dtype=float) * s.factor
+    lo, hi = gershgorin_interval(s)  # of the scaled matrix: ||H||_inf may overflow
+    bound = 1e-8 * max(abs(lo), abs(hi))  # 1e-8 * ||H||_inf, scaled
+    outside = (lams < (lo - bound) / s.factor) | (lams > (hi + bound) / s.factor)
+    if outside.any():
+        raise NotAnEigenvalue(
+            f"{float(lams[outside][0])!r} lies more than 1e-8 * ||H|| = {bound / s.factor:.3e} "
+            "outside the Gershgorin interval"
+        )
+    lams = lams * s.factor
     n = H.size
     if not lams.size:
         return np.zeros((n, 0))
@@ -359,10 +373,6 @@ def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:
     residual[:-1] += off[:, None] * vectors[1:]
     residual[1:] += off[:, None] * vectors[:-1]
     worst = float(np.sqrt(np.einsum("ij,ij->j", residual, residual)).max())
-    row_sums = np.abs(diag)
-    row_sums[:-1] += off
-    row_sums[1:] += off
-    bound = 1e-8 * float(row_sums.max())
     if not worst <= bound:
         raise NotAnEigenvalue(
             f"residual {worst / s.factor:.3e} exceeds 1e-8 * ||H|| = {bound / s.factor:.3e}"

@@ -18,10 +18,10 @@ interlacing.  A J-fraction is the linear case of a P-fraction: the
 Euclidean expansion of Q/P (`pfraction`) has partial quotients
 c_k (x - a_k) with every c_k > 0, and b_k^2 = 1 / (c_k c_{k+1}) makes
 every level monic.  The expansion is pure coefficient arithmetic and never
-computes a root.  Its failure signatures are a partial quotient of degree
->= 2 (a remainder dropped degree), one with c_k <= 0 (a non-positive
-coupling) and a vanished remainder (a common factor); each means the zeros
-do not strictly interlace.
+computes a root.  Each partial quotient is judged on the remainder the
+division before it left: one that drops more than one degree (a quotient
+of degree >= 2), has a negative leading coefficient (c_k < 0) or vanishes
+(a common factor) means the zeros do not strictly interlace.
 
 A J-fraction is palindromic when a_k = a_{N-k} and b_k^2 = b_{N-1-k}^2.
 That is equivalent to the exact divisibility of Q^2 - b_0^2...b_{N-1}^2 by
@@ -33,20 +33,22 @@ built on two exact Sturm root counts over the whole line: P has deg P
 distinct real roots and the Wronskian W = P'Q - PQ' has no real root.
 Then W > 0 (leading coefficient 1), so every residue Q(x_i)/P'(x_i) =
 W(x_i)/P'(x_i)^2 of Q/P is positive, which is strict interlacing;
-conversely interlacing gives W = P^2 * sum r_i/(x - x_i)^2 > 0.  Root
-counting uses the signed-remainder chain, each remainder scaled by a
-positive rational to content +-1, on half-open intervals (lo, hi].
+conversely interlacing gives W = P^2 * sum r_i/(x - x_i)^2 > 0.  A count
+is V(-inf) - V(+inf) on the unit-content `sturm_chain`, read off each
+element's leading sign and degree: no root bound, no evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ne
 from typing import Iterable
 
 from .errors import DegreeMismatch, InternalCheckFailed, NotCoprime, NotInterlacing
 from .pfraction import _euclid
 from .polynomial import ONE, X, ZERO, Polynomial, format_rational, parse_rational, poly_divmod, three_term
+from .polynomial import _remainder_chain
 
 __all__ = [
     "JFraction",
@@ -57,8 +59,6 @@ __all__ = [
     "chebyshev_jfraction",
     "interlacing_check",
     "sturm_chain",
-    "count_real_roots",
-    "cauchy_root_bound",
 ]
 
 
@@ -118,15 +118,18 @@ def expand_jfraction(Q: Polynomial, P: Polynomial) -> JFraction:
     level that shows the zeros of P and Q do not strictly interlace.
 
     Inputs must be monic with deg P = deg Q + 1.  The J-fraction is read
-    off the partial quotients of the P-fraction Euclid (`pfraction._euclid`):
-    it exists exactly when every quotient is p_k = c_k (x - a_k) with
-    c_k > 0, and then b_k^2 = 1 / (c_k c_{k+1}), the equivalence
-    transformation that makes every level monic.  Proof: for monic P and Q,
-    c_0 = 1.  A level P = (x - a) Q - b^2 R with R monic is
-    divmod(P, Q) = (x - a, -b^2 R), so the next quotient, of Q by b^2 R,
-    has c = 1 / b^2.  Hence a zero remainder is NotCoprime, a remainder that
-    drops degree shows up as a next quotient of degree >= 2, and a coupling
-    b^2 <= 0 as some c_k <= 0; all three are reported as NotInterlacing.
+    off the P-fraction Euclid (`pfraction._euclid`): it exists exactly when
+    every partial quotient is p_k = c_k (x - a_k) with c_k > 0, and then
+    b_k^2 = 1 / (c_k c_{k+1}), the equivalence transformation that makes
+    every level monic.  Proof: for monic P and Q, p_0 = quo(P, Q) = x - a_0.
+    Division k, of N_k by D_k, leaves the next divisor R_k = p_k D_k - N_k;
+    quo(D_k, R_k) is linear iff deg R_k = deg D_k - 1, and its c_{k+1} =
+    lead(D_k) / lead(R_k) > 0 iff lead(R_k) > 0, as lead(D_k) = lead(R_{k-1})
+    > 0.  So quotient k + 1 is judged on R_k, without dividing again.  A
+    level P = (x - a) Q - b^2 R with R monic has R_0 = b^2 R, so c_1 = 1 / b^2.
+    Hence a zero R_k is NotCoprime, an R_k that drops more than one degree
+    means a next quotient of degree >= 2, and a coupling b^2 <= 0 means
+    lead(R_k) < 0; all three are reported as NotInterlacing.
     """
     if not (P.is_monic and Q.is_monic):
         raise DegreeMismatch("expand_jfraction needs monic P and Q")
@@ -137,15 +140,16 @@ def expand_jfraction(Q: Polynomial, P: Polynomial) -> JFraction:
     a_terms: list[Fraction] = []
     scales: list[Fraction] = []
     try:
-        for k, quotient in enumerate(_euclid(Q, P)):
+        for k, (quotient, remainder) in enumerate(_euclid(Q, P)):
             c = quotient.leading_coefficient
-            if quotient.degree != 1 or c <= 0:
-                raise NotInterlacing(
-                    f"partial quotient {k} has degree {quotient.degree} and leading "
-                    f"coefficient {c}, not c (x - a) with c > 0"
-                )
             a_terms.append(-quotient.coeff(0) / c)
             scales.append(c)
+            lead = remainder.leading_coefficient
+            if not remainder.is_zero and (remainder.degree != P.degree - k - 2 or lead <= 0):
+                raise NotInterlacing(
+                    f"partial quotient {k + 1} is not c (x - a) with c > 0: the remainder of "
+                    f"division {k} has degree {remainder.degree} and leading coefficient {lead}"
+                )
     except NotCoprime as exc:
         raise NotInterlacing(str(exc)) from exc
     return JFraction(a_terms, (1 / (c * d) for c, d in zip(scales, scales[1:])))
@@ -206,48 +210,11 @@ def chebyshev_jfraction(n: int) -> JFraction:
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    """Signed-remainder chain p, p', -rem(p, p'), ... up to positive factors;
-    the zero tail is dropped.
-
-    Each element is scaled by a positive rational to content +-1 (its
-    primitive integer vector, sign kept), which leaves every sign and so
-    every sign-change count unchanged while the coefficients stop growing.
-    Root counts derived from it are exact for squarefree p, and for any p
-    on an interval whose ends are not roots of p.
-    """
-    chain = [_unit_content(p), _unit_content(p.derivative())]
-    while not chain[-1].is_zero:
-        chain.append(_unit_content(-(chain[-2] % chain[-1])))
-    chain.pop()
-    return chain
-
-
-def _unit_content(p: Polynomial) -> Polynomial:
-    """p times the positive rational 1 / |content(p)|."""
-    return p * (1 / abs(p.content)) if p.content else p
-
-
-def _sign_changes(chain: list[Polynomial], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = poly.eval_exact(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def count_real_roots(chain: list[Polynomial], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in the half-open interval (lo, hi]."""
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-
-def cauchy_root_bound(p: Polynomial) -> Fraction:
-    """B = 1 + max |c_i| / |lead|; every root of p lies strictly inside (-B, B)."""
-    lead = abs(p.leading_coefficient)
-    body = p.coefficients[:-1]
-    if not body:
-        return Fraction(1)
-    return 1 + max(abs(c) for c in body) / lead
+    """Signed-remainder chain p, p', -rem(p, p'), ... at content +-1 with
+    every sign kept (`polynomial._remainder_chain`).  Root counts derived
+    from it are exact for squarefree p, and for any p on an interval whose
+    ends are not roots of p."""
+    return _remainder_chain(p, p.derivative())
 
 
 def interlacing_check(P: Polynomial, Q: Polynomial) -> bool:
@@ -271,6 +238,10 @@ def interlacing_check(P: Polynomial, Q: Polynomial) -> bool:
 
 
 def _real_root_count(p: Polynomial) -> int:
-    """Distinct real roots of p, all of which lie in (-B, B]."""
-    bound = cauchy_root_bound(p)
-    return count_real_roots(sturm_chain(p), -bound, bound)
+    """Distinct real roots of p: V(-inf) - V(+inf) on its Sturm chain, where
+    each element has the sign of its content at +inf and that sign times
+    (-1)^degree at -inf."""
+    chain = sturm_chain(p)
+    at_plus = [e.content > 0 for e in chain]
+    at_minus = [s != (e.degree % 2 == 1) for s, e in zip(at_plus, chain)]
+    return sum(map(ne, at_minus, at_minus[1:])) - sum(map(ne, at_plus, at_plus[1:]))

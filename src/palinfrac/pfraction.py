@@ -97,13 +97,15 @@ class PPalindromeDecision:
     pfraction: PFraction
 
 
-def _euclid(Q: Polynomial, P: Polynomial) -> Iterator[Polynomial]:
-    """Partial quotients of Q/P, yielded one Euclidean step at a time, so a
-    caller can stop at the first quotient it rejects.
+def _euclid(Q: Polynomial, P: Polynomial) -> Iterator[tuple[Polynomial, Polynomial]]:
+    """Partial quotients p_k of Q/P, yielded one Euclidean step at a time
+    with the next divisor R_k = p_k D_k - N_k (minus the remainder of N_k by
+    D_k), so a caller can stop at the first step it rejects.
 
     Raises NotCoprime when a remainder vanishes while the divisor still
     has positive degree (nonconstant gcd), DegreeError for an improper or
-    degenerate input pair.
+    degenerate input pair.  Unlike `polynomial._remainder_chain` it keeps
+    each remainder exact: a factor on it would scale the quotients after it.
     """
     if P.is_zero or Q.is_zero:
         raise DegreeError("both polynomials must be nonzero")
@@ -112,20 +114,21 @@ def _euclid(Q: Polynomial, P: Polynomial) -> Iterator[Polynomial]:
     num, den = Q, P
     while True:
         quotient, remainder = poly_divmod(den, num)
-        yield quotient
+        following = -remainder  # quotient * num - den
+        yield quotient, following
         if remainder.is_zero:
             if num.degree >= 1:
                 raise NotCoprime(
                     f"gcd has positive degree {num.degree}; the pair is not coprime"
                 )
             return
-        num, den = -remainder, num  # quotient * num - den = -remainder
+        num, den = following, num
 
 
 def expand_pfraction(Q: Polynomial, P: Polynomial) -> PFraction:
     """Partial quotients of Q/P from the Euclidean algorithm; raises
     NotCoprime or DegreeError as `_euclid` does."""
-    return PFraction(_euclid(Q, P))
+    return PFraction(quotient for quotient, _ in _euclid(Q, P))
 
 
 def _reconstruct_raw(pf: PFraction) -> tuple[list[Polynomial], list[Polynomial]]:

@@ -351,13 +351,25 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor (zero if both inputs are zero)."""
-    while not b.is_zero:
-        a, b = b, a % b
-        if not b.is_zero:
-            b = b.monic()  # keeps coefficient growth in check
-    if a.is_zero:
-        return ZERO
-    return a.monic()
+    last = _remainder_chain(a, b)[-1]
+    return ZERO if last.is_zero else last.monic()
+
+
+def _remainder_chain(a: Polynomial, b: Polynomial) -> list[Polynomial]:
+    """Signed remainder chain a, b, -rem(a, b), ... without its zero tail, so
+    the last element is gcd(a, b) up to a factor.  Each element is scaled by
+    a positive rational to content +-1: every sign, and so every Sturm
+    sign-change count, is kept while the coefficients stop growing."""
+    chain = [_unit_content(a), _unit_content(b)]
+    while not chain[-1].is_zero:
+        chain.append(_unit_content(-(chain[-2] % chain[-1])))
+    chain.pop()
+    return chain
+
+
+def _unit_content(p: Polynomial) -> Polynomial:
+    """p times the positive rational 1 / |content(p)|."""
+    return p * (1 / abs(p.content)) if p.content else p
 
 
 def three_term(steps: Iterable[tuple], seed: tuple) -> list:

@@ -121,11 +121,6 @@ class AmplitudeTrace:
             stream.write(",".join(cells) + "\n")
 
 
-def _eigensystem(H: JacobiMatrix, tol: float | None = None) -> tuple[Spectrum, np.ndarray]:
-    spectrum = eigenvalues(H, tol)
-    return spectrum, eigenvectors(H, spectrum.eigenvalues)
-
-
 def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     """e^{itH} e_0 for each t, via the spectral decomposition of H.
 
@@ -142,8 +137,8 @@ def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     reach = max(map(abs, times), default=0.0) * max(abs(lo), abs(hi))
     if reach > 2.0**53:
         raise OutOfRange(f"max |t| * ||H|| = {reach:.3e} exceeds 2^53: phases lost to rounding")
-    spectrum, basis = _eigensystem(H)
-    lams = np.asarray(spectrum.eigenvalues)
+    lams = np.asarray(eigenvalues(H).eigenvalues)
+    basis = eigenvectors(H, lams)
     first_components = basis[0, :]
     amplitudes = np.empty((len(times), H.size), dtype=complex)
     for i, t in enumerate(times):
@@ -162,11 +157,12 @@ def fidelity(H: JacobiMatrix, t: float) -> float:
 
 def check_pst1_spectrum(spectrum: Spectrum, T: float, phi: float, tolphase: float) -> bool:
     """True iff every phase T lambda_k + phi is within tolphase of (N + k) pi
-    modulo 2 pi."""
+    modulo 2 pi; False for a NaN or infinite phase."""
     top = len(spectrum.eigenvalues) - 1
     for k, lam in enumerate(spectrum.eigenvalues):
-        drift = math.remainder(T * lam + phi - (top + k) * math.pi, TWO_PI)
-        if not abs(drift) <= tolphase:  # a NaN drift or tolphase certifies nothing
+        phase = T * lam + phi - (top + k) * math.pi
+        # an infinite or NaN phase, or a NaN tolphase, certifies nothing
+        if not (math.isfinite(phase) and abs(math.remainder(phase, TWO_PI)) <= tolphase):
             return False
     return True
 
@@ -226,7 +222,7 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
         fractions = [_ratio_to_fraction(r, RATIO_DENOMINATOR_BOUND, tol) for r in ratios]
         common = math.lcm(*(f.denominator for f in fractions))
         odd_multiples = [(common // f.denominator) * f.numerator for f in fractions]
-        if common % 2 == 0 or any(m % 2 == 0 for m in odd_multiples):
+        if any(m % 2 == 0 for m in odd_multiples):  # odd_multiples[0] is common
             raise NoOddScaling(
                 f"gaps are commensurable with pi multiples {odd_multiples}, "
                 "which cannot all be odd under any common rescaling"

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from genutil import wilkinson
 from palinfrac.cli import main
+from palinfrac.errors import PalinfracError
 from palinfrac.jfraction import JFraction
 from palinfrac.jacobi import JacobiMatrix
 from palinfrac.polynomial import Polynomial
@@ -88,6 +89,19 @@ class TestCf:
     def test_usage_error_exit_code(self, runner):
         result = runner.invoke(main, ["cf", "expand", "x", "y"])
         assert result.exit_code == 2
+
+
+def test_error_codes_are_class_names():
+    subclasses = PalinfracError.__subclasses__()
+    assert all(cls.code == cls.__name__ for cls in subclasses)
+    assert PalinfracError.code == "Error"
+    # the codes the CLI emits as {"error": code, ...}
+    assert sorted(cls.code for cls in subclasses) == [
+        "DegenerateSpectrum", "DegreeError", "DegreeMismatch", "DivisionByZeroPolynomial",
+        "IncommensurableSpectrum", "InternalCheckFailed", "NoOddScaling", "NotAnEigenvalue",
+        "NotCoprime", "NotInterlacing", "NotPersymmetric", "OutOfRange", "SizeTooSmall",
+        "ToleranceTooLoose",
+    ]
 
 
 class TestPoly:

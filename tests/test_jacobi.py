@@ -337,6 +337,36 @@ class TestEigenvector:
         with pytest.raises(NotAnEigenvalue):
             eigenvector(chain3, 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [1e308, -1e308, 1.4142136, -1.4142136])
+    def test_value_outside_gershgorin_is_rejected_before_arithmetic(self, chain3, lam):
+        # chain3 has ||H||_inf = sqrt(2); 1e308 * the scale factor overflowed
+        with pytest.raises(NotAnEigenvalue, match="outside the Gershgorin interval"):
+            eigenvectors(chain3, [1.0, lam])
+        scaled = JacobiMatrix((0.3,), ())  # scale factor 4
+        with pytest.raises(NotAnEigenvalue, match="outside the Gershgorin interval"):
+            eigenvector(scaled, 1e308)
+
+    @pytest.mark.filterwarnings("error")
+    def test_value_just_inside_gershgorin_reaches_the_residual_check(self, chain3):
+        edge = math.sqrt(2)  # the interval end; the spectrum ends at 1
+        with pytest.raises(NotAnEigenvalue, match="residual"):
+            eigenvector(chain3, edge * (1 + 1e-9))
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_matrix_keeps_its_residual_check(self):
+        # ||H||_inf = 3e308 overflows; the check runs on the scaled matrix
+        h = JacobiMatrix((1e308, -1e308), (1e308,))
+        assert eigenvector(h, math.sqrt(2) * 1e308) == pytest.approx([0.9238795325112867, 0.3826834323650898])
+        with pytest.raises(NotAnEigenvalue, match="residual"):
+            eigenvector(h, 1e308)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_rejected(self, chain3, lam):
+        with pytest.raises(ValueError, match="finite"):
+            eigenvectors(chain3, [0.0, lam])
+
     def test_orthogonality(self):
         rng = random.Random(43)
         for _ in range(10):

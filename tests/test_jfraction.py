@@ -1,8 +1,10 @@
 import collections
 import copy
+import importlib
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from genutil import (
     interlacing_pair,
     noninterlacing_pair,
     poly_from_roots,
+    rand_fraction,
     random_jfraction,
     random_nonpalindromic_jfraction,
     random_palindromic_jfraction,
@@ -18,9 +21,8 @@ from palinfrac import pfraction
 from palinfrac.errors import DegreeMismatch, NotInterlacing
 from palinfrac.jfraction import (
     JFraction,
-    cauchy_root_bound,
+    _real_root_count,
     chebyshev_jfraction,
-    count_real_roots,
     expand_jfraction,
     interlacing_check,
     is_palindromic_jfraction,
@@ -190,17 +192,17 @@ class TestEuclidReading:
         # p64 = x p + q: the first coupling is b_0^2 = -1
         p64 = X * p + q
         assert p64.degree == 64
-        with pytest.raises(NotInterlacing):
+        with pytest.raises(NotInterlacing, match="partial quotient 1 "):
             expand_jfraction(p, p64)
-        assert self._divisions(monkeypatch, p, p64) <= 2
+        assert self._divisions(monkeypatch, p, p64) <= 1
         # p64 = x p - T_61: the remainder of p64 by p drops to degree 61
         p64 = X * p - chebyshev_t(61).monic()
-        with pytest.raises(NotInterlacing):
+        with pytest.raises(NotInterlacing, match="partial quotient 1 "):
             expand_jfraction(p, p64)
-        assert self._divisions(monkeypatch, p, p64) <= 2
+        assert self._divisions(monkeypatch, p, p64) <= 1
 
     @pytest.mark.parametrize("level", [0, 1, 7, 40])
-    def test_negative_coupling_costs_level_plus_two_divisions(self, monkeypatch, level):
+    def test_negative_coupling_costs_level_plus_one_division(self, monkeypatch, level):
         b2 = [Fraction(1, 4)] * 63
         b2[level] = Fraction(-1, 4)
         steps = [(X, -v) for v in [Fraction(1)] + b2]
@@ -208,7 +210,7 @@ class TestEuclidReading:
         assert p.degree == 64
         with pytest.raises(NotInterlacing, match=f"partial quotient {level + 1} "):
             expand_jfraction(q, p)
-        assert self._divisions(monkeypatch, q, p) <= level + 2
+        assert self._divisions(monkeypatch, q, p) <= level + 1
 
 
 class TestReconstruction:
@@ -338,17 +340,54 @@ class TestChebyshevJFraction:
             assert expand_jfraction(q, p) == chebyshev_jfraction(n)
 
 
+def _cauchy_bound(p):
+    """B = 1 + max |c_i| / |lead|; every root of p lies strictly inside (-B, B)."""
+    body = p.coefficients[:-1]
+    return 1 + max((abs(c) for c in body), default=0) / abs(p.leading_coefficient)
+
+
+def _interval_count(chain, lo, hi):
+    """Reference count of the distinct real roots in (lo, hi]: the sign
+    changes of the chain evaluated exactly at lo minus those at hi."""
+
+    def changes(x):
+        signs = [v > 0 for v in (e.eval_exact(x) for e in chain) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi)
+
+
 class TestSturmMachinery:
-    def test_count_real_roots(self):
-        chain = sturm_chain(CUBIC)
-        assert count_real_roots(chain, Fraction(-2), Fraction(2)) == 3
-        assert count_real_roots(chain, Fraction(0), Fraction(2)) == 1
-        assert count_real_roots(chain, Fraction(-2), Fraction(0)) == 2  # includes 0
+    def test_count_real_roots(self):  # over the whole line
+        assert _real_root_count(CUBIC) == 3
+        assert _real_root_count(-3 * CUBIC) == 3
+        assert _real_root_count(NONINTER_P) == 3  # roots 1, 2, 3
+        assert _real_root_count(HALF_SHIFT) == 2
+        assert _real_root_count(Polynomial((1, 0, 1))) == 0
+        assert _real_root_count(Polynomial((1, 1)) ** 2 * Polynomial((-3, 1))) == 2
+        assert _real_root_count(Polynomial((0, 1, 0, 1))) == 1
+        assert _real_root_count(Polynomial((Fraction(-2, 3),))) == 0
+        assert _real_root_count(chebyshev_t(40)) == 40
 
     def test_cauchy_bound_contains_roots(self):
-        bound = cauchy_root_bound(NONINTER_P)
-        chain = sturm_chain(NONINTER_P)
-        assert count_real_roots(chain, -bound, bound) == 3
+        # the whole-line count equals the count inside the Cauchy bound
+        rng = random.Random(47)
+        seen = collections.Counter()
+        for _ in range(2000):
+            deg = rng.randint(0, 12)
+            roots = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(deg)]
+            quadratics = rng.randint(0, deg // 2) if rng.random() < 0.4 else 0
+            p = poly_from_roots(roots[2 * quadratics:])
+            for _ in range(quadratics):
+                centre = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                p = p * ((X - Polynomial((centre,))) ** 2 + Polynomial((Fraction(rng.randint(1, 9), 4),)))
+            p = rand_fraction(rng, nonzero=True) * p
+            real = set(roots[2 * quadratics:])
+            bound = _cauchy_bound(p)
+            assert _real_root_count(p) == _interval_count(sturm_chain(p), -bound, bound) == len(real)
+            seen["repeated"] += len(real) < deg - 2 * quadratics
+            seen["quadratic"] += quadratics > 0
+        assert seen["repeated"] >= 500 and seen["quadratic"] >= 300
 
     def test_chain_is_unscaled_chain_up_to_positive_factors(self):
         def unscaled_chain(p):
@@ -371,12 +410,12 @@ class TestSturmMachinery:
                 assert factor > 0
                 assert got == factor * ref
                 assert abs(got.content) == 1
-            bound = cauchy_root_bound(p)
+            bound = _cauchy_bound(p)
             points = [-bound, Fraction(-1), Fraction(-1, 3), Fraction(0), Fraction(1, 2), Fraction(2), bound]
             for lo in points:
                 for hi in points:
                     if lo < hi:
-                        assert count_real_roots(chain, lo, hi) == count_real_roots(reference, lo, hi)
+                        assert _interval_count(chain, lo, hi) == _interval_count(reference, lo, hi)
 
 
 class TestInterlacingCheck:
@@ -464,6 +503,25 @@ class TestInterlacingCheck:
                 expanded = False
             assert expanded == truth
         assert verdicts == {True, False}
+
+    def test_benchmark_inputs_need_no_evaluation(self, monkeypatch):
+        # the exact-cf benchmark's interlacing inputs, seeds 1-3
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        exact_cf = importlib.import_module("exact_cf")
+
+        def no_evaluation(poly, x):
+            raise AssertionError("interlacing_check evaluated a polynomial")
+
+        monkeypatch.setattr(Polynomial, "eval_exact", no_evaluation)
+        verdicts = []
+        for seed in (1, 2, 3):
+            for task in exact_cf.build_inputs(seed):
+                if task.kind in ("interlacing", "noninterlacing"):
+                    p, q = Polynomial(task.data[0]), Polynomial(task.data[1])
+                    expected = task.kind == "interlacing" and task.data[2]
+                    assert interlacing_check(p, q) is expected
+                    verdicts.append(expected)
+        assert len(verdicts) == 24 and verdicts.count(True) == 12
 
     def test_at_size(self):
         assert interlacing_check(chebyshev_t(24).monic(), chebyshev_u(23).monic())

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,34 @@ class TestGcd:
         assert poly_gcd(a, Polynomial((1, 0, 1))).degree == 0
         assert poly_gcd(ZERO, ZERO) == ZERO
         assert poly_gcd(2 * a, ZERO) == a.monic()
+
+    def test_matches_monic_euclid_loop(self):
+        def monic_loop(a, b):
+            """Reference: Euclid with every nonzero remainder made monic."""
+            while not b.is_zero:
+                a, b = b, a % b
+                if not b.is_zero:
+                    b = b.monic()
+            return ZERO if a.is_zero else a.monic()
+
+        rng = random.Random(61)
+
+        def small(deg):
+            return Polynomial(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(deg + 1))
+
+        nontrivial = 0
+        for _ in range(400):
+            common = small(rng.randint(0, 3))
+            a, b = common * small(rng.randint(-1, 5)), common * small(rng.randint(-1, 5))
+            if rng.random() < 0.1:
+                a = ZERO
+            got = poly_gcd(a, b)
+            assert got == monic_loop(a, b) == poly_gcd(b, a)
+            assert got.is_zero or got.is_monic
+            nontrivial += got.degree >= 1
+        assert nontrivial >= 150
+        for a, b in [(ZERO, ZERO), (ZERO, 3 * X), (Polynomial((Fraction(-2, 3),)), ZERO), (ONE, ONE)]:
+            assert poly_gcd(a, b) == monic_loop(a, b) == poly_gcd(b, a)
 
 
 class TestChebyshev:

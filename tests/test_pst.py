@@ -66,6 +66,14 @@ class TestVerify:
         assert not check_pst1_spectrum(cert.spectrum, cert.T, math.nan, 1e-8)
         assert not check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, math.nan)
 
+    @pytest.mark.parametrize("T, phi", [(math.inf, 0.0), (-math.inf, 0.0), (1.0, math.inf), (1.7e308, 1.7e308)])
+    def test_infinite_phase_certifies_nothing(self, chain3, T, phi):
+        # math.remainder of an infinite phase raised "math domain error";
+        # the last pair overflows T * lambda + phi to inf at lambda = 1
+        cert = verify_pst(chain3)
+        assert not check_pst1_spectrum(cert.spectrum, T, phi, 1e-8)
+        assert not check_pst1_spectrum(cert.spectrum, T, phi, math.inf)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
     def test_rejects_bad_tolerance(self, chain3, tol):
         with pytest.raises(ValueError):

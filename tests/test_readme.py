@@ -1,6 +1,8 @@
-"""The README's "Library quick tour" runs and its comments state its values."""
+"""The README's "Library quick tour" runs and its comments state its values;
+its module map names only public, importable names."""
 
 import ast
+import importlib
 import math
 import re
 from pathlib import Path
@@ -42,3 +44,14 @@ def test_quick_tour_values_match_their_comments():
     assert namespace["chain"].offdiag == pytest.approx((1 / math.sqrt(2),) * 2, abs=1e-15)
     cert = namespace["cert"]
     assert (cert.T, cert.phi) == pytest.approx((math.pi, math.pi), abs=1e-12)
+
+
+def test_module_map_names_are_public_and_importable():
+    section = README.read_text(encoding="utf-8").split("## Module map", 1)[1].split("\n## ", 1)[0]
+    rows = [re.findall(r"`([^`]+)`", line) for line in section.splitlines() if line.startswith("| `")]
+    assert len(rows) == 6
+    for module_name, *names in rows:
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert name in module.__all__, f"{module_name}.{name} is not in __all__"
+            assert hasattr(module, name), f"{module_name}.{name} does not exist"

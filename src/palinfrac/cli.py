@@ -12,7 +12,6 @@ tolerance 1e-12 used by the spectral commands.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -46,20 +45,6 @@ def _default_tol() -> float:
 
 def _emit(payload) -> None:
     click.echo(json.dumps(payload))
-
-
-def _guard(fn):
-    """Map domain errors to exit 1 with a JSON error object on stderr."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except PalinfracError as err:
-            click.echo(json.dumps({"error": err.code, "detail": str(err)}), err=True)
-            sys.exit(1)
-
-    return wrapper
 
 
 def _load_json(path: str):
@@ -102,7 +87,27 @@ def _reduced_pair(q: int, p: int) -> tuple[int, int]:
     return (q // g, p // g) if g > 1 else (q, p)
 
 
-@click.group()
+class _Main(click.Group):
+    """The root group, one boundary around every command: a domain error
+    exits 1 with a JSON error object on stderr, and Python's cap on int/str
+    conversion (3.11+), which exact coefficients outgrow, is lifted while
+    the command runs."""
+
+    def invoke(self, ctx: click.Context):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            return super().invoke(ctx)
+        except PalinfracError as err:
+            click.echo(json.dumps({"error": err.code, "detail": str(err)}), err=True)
+            sys.exit(1)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Exact continued fractions, Jacobi matrices, and state-transfer design."""
 
@@ -119,7 +124,6 @@ def cf() -> None:
 @click.argument("q", type=int)
 @click.argument("p", type=int)
 @click.option("--padded", is_flag=True, help="Rewrite the last term as (a-1) + 1/1.")
-@_guard
 def cf_expand(q: int, p: int, padded: bool) -> None:
     """Euclidean expansion of Q/P."""
     q, p = _reduced_pair(q, p)
@@ -138,7 +142,6 @@ def cf_expand(q: int, p: int, padded: bool) -> None:
 @cf.command("serret")
 @click.argument("q", type=int)
 @click.argument("p", type=int)
-@_guard
 def cf_serret(q: int, p: int) -> None:
     """Palindrome criterion: does P divide Q^2 + 1 or Q^2 - 1?"""
     q, p = _reduced_pair(q, p)
@@ -167,7 +170,6 @@ def poly() -> None:
 @poly.command("cheb")
 @click.argument("kind", type=click.Choice(["t", "u"]))
 @click.argument("n", type=int)
-@_guard
 def poly_cheb(kind: str, n: int) -> None:
     """Chebyshev family of the given KIND up to degree N (one array each)."""
     if n < 0:
@@ -187,7 +189,6 @@ def jfrac() -> None:
 @jfrac.command("expand")
 @click.argument("qfile", type=click.Path(exists=True, dir_okay=False))
 @click.argument("pfile", type=click.Path(exists=True, dir_okay=False))
-@_guard
 def jfrac_expand(qfile: str, pfile: str) -> None:
     """Expand Q/P (monicized) into diagonal and coupling sequences."""
     q, p = _load_monic_pair(qfile, pfile)
@@ -197,7 +198,6 @@ def jfrac_expand(qfile: str, pfile: str) -> None:
 @jfrac.command("palindrome")
 @click.argument("qfile", type=click.Path(exists=True, dir_okay=False))
 @click.argument("pfile", type=click.Path(exists=True, dir_okay=False))
-@_guard
 def jfrac_palindrome(qfile: str, pfile: str) -> None:
     """Palindromicity of the J-fraction of Q/P, with divisibility witness."""
     q, p = _load_monic_pair(qfile, pfile)
@@ -215,7 +215,6 @@ def jfrac_palindrome(qfile: str, pfile: str) -> None:
 
 @jfrac.command("cheb")
 @click.argument("n", type=int)
-@_guard
 def jfrac_cheb(n: int) -> None:
     """Closed-form J-fraction of the degree-N Chebyshev ratio."""
     if n < 1:
@@ -234,7 +233,6 @@ def jacobi() -> None:
 @jacobi.command("eig")
 @click.argument("hfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", type=float, default=None, help="Bracket separation tolerance.")
-@_guard
 def jacobi_eig(hfile: str, tol: float | None) -> None:
     """Eigenvalues by Sturm bisection."""
     matrix = _load_matrix(hfile)
@@ -253,7 +251,6 @@ def pst() -> None:
 
 @pst.command("verify")
 @click.argument("hfile", type=click.Path(exists=True, dir_okay=False))
-@_guard
 def pst_verify(hfile: str) -> None:
     """Certificate (T, phi) for perfect transfer on the given chain."""
     matrix = _load_matrix(hfile)
@@ -263,7 +260,6 @@ def pst_verify(hfile: str) -> None:
 
 @pst.command("design")
 @click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
-@_guard
 def pst_design(specfile: str) -> None:
     """Persymmetric chain with the prescribed spectrum."""
     data = _load_json(specfile)
@@ -282,7 +278,6 @@ def pst_design(specfile: str) -> None:
 @click.option("--t1", type=float, required=True, help="Last time sample.")
 @click.option("--steps", type=int, required=True, help="Number of samples (>= 1).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="CSV output path.")
-@_guard
 def pst_simulate(hfile: str, t0: float, t1: float, steps: int, out: str | None) -> None:
     """Amplitudes of e^{itH} e_0 on an even time grid, as CSV."""
     if steps < 1:
@@ -314,7 +309,6 @@ def pfrac() -> None:
 @pfrac.command("expand")
 @click.argument("qfile", type=click.Path(exists=True, dir_okay=False))
 @click.argument("pfile", type=click.Path(exists=True, dir_okay=False))
-@_guard
 def pfrac_expand(qfile: str, pfile: str) -> None:
     """Partial quotients of Q/P under the minus-sign convention."""
     q, p = _load_poly(qfile), _load_poly(pfile)
@@ -324,7 +318,6 @@ def pfrac_expand(qfile: str, pfile: str) -> None:
 @pfrac.command("palindrome")
 @click.argument("qfile", type=click.Path(exists=True, dir_okay=False))
 @click.argument("pfile", type=click.Path(exists=True, dir_okay=False))
-@_guard
 def pfrac_palindrome(qfile: str, pfile: str) -> None:
     """Does P divide Q^2 - 1 (inputs monicized)?"""
     q, p = _load_monic_pair(qfile, pfile)

@@ -199,8 +199,6 @@ def chebyshev_jfraction(n: int) -> JFraction:
     quarter = Fraction(1, 4)
     if n == 1:
         b2: tuple[Fraction, ...] = (Fraction(1),)
-    elif n == 2:
-        b2 = (half, half)
     else:
         b2 = (half,) + (quarter,) * (n - 2) + (half,)
     return JFraction((Fraction(0),) * (n + 1), b2)

@@ -9,7 +9,7 @@ The zero polynomial is c = 0 with the empty tuple and reports degree -1.
 Arithmetic runs on the integers and touches the content once per result:
 by Gauss's lemma the product of two primitive vectors is primitive, so a
 product needs no gcd; scaling, negation and `monic` change only c; a sum
-and each step of `poly_divmod` take one gcd over the integer vector.  The
+takes one gcd over the integer vector, and `poly_divmod` one per result.  The
 rational coefficients (:attr:`Polynomial.coefficients`) are built from the
 pair on first use.
 
@@ -313,39 +313,34 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
     """Exact division with remainder: num = quotient * den + remainder,
     deg remainder < deg den.
 
-    Fraction-free on the integer vectors: the running remainder is an
-    integer list over one shared denominator, reduced by one vector gcd
-    whenever that denominator grows (after the last step, by `_primitive`)."""
+    Fraction-free pseudo-division on the integer vectors (Knuth, TAOCP 2,
+    4.6.1): quotient and remainder are integer lists over one shared
+    denominator ``scale``.  Each step cancels the top term with the least
+    multiplier m and keeps scale * num = quot * den + rem; `_primitive`
+    reduces both results once, at the end."""
     if den.is_zero:
         raise DivisionByZeroPolynomial("polynomial division by zero")
     if num.degree < den.degree:
         return ZERO, num
     d = den._ints
     dn, lead = len(d), d[-1]
-    rem = list(num._ints)  # running remainder of the primitive parts: rem / scale
+    rem = list(num._ints)
+    quot = [0] * (len(rem) - dn + 1)
     scale = 1
-    quot = [0] * (len(rem) - dn + 1)  # quot[i] / dens[i] is the x^i coefficient
-    dens = [1] * len(quot)
     for shift in range(len(rem) - dn, -1, -1):
         top = rem.pop()
         if not top:
             continue
         g = gcd(top, lead)
         m, t = lead // g, top // g  # m * top = t * lead
-        quot[shift], dens[shift] = t, scale * m
-        if m == 1:
-            rem[shift:] = [r - t * w for r, w in zip(rem[shift:], d)]
-        else:
-            rem = [m * r for r in rem[:shift]] + [m * r - t * w for r, w in zip(rem[shift:], d)]
+        if m != 1:
+            rem = [m * r for r in rem]
+            quot = [m * q for q in quot]
             scale *= m
-            g = gcd(scale, *rem) if shift else 1  # _primitive reduces the last
-            if g != 1:
-                rem = [r // g for r in rem]
-                scale //= g
+        quot[shift] = t
+        rem[shift:] = [r - t * w for r, w in zip(rem[shift:], d)]
     cn, cd = num._content, den._content
-    qden = lcm(*dens)
-    qints = [q * (qden // qd) for q, qd in zip(quot, dens)]
-    quotient = _make(*_primitive(cn.numerator * cd.denominator, cn.denominator * cd.numerator * qden, qints))
+    quotient = _make(*_primitive(cn.numerator * cd.denominator, cn.denominator * cd.numerator * scale, quot))
     return quotient, _make(*_primitive(cn.numerator, cn.denominator * scale, rem))
 
 

@@ -133,8 +133,9 @@ def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     times = [float(t) for t in times]
     if not all(math.isfinite(t) for t in times):
         raise ValueError("evolve needs finite times")
-    lo, hi = gershgorin_interval(H)
-    reach = max(map(abs, times), default=0.0) * max(abs(lo), abs(hi))
+    s = _scaled(H)
+    lo, hi = gershgorin_interval(s)  # of the scaled matrix: ||H||_inf may overflow
+    reach = max(map(abs, times), default=0.0) / s.factor * max(abs(lo), abs(hi))
     if reach > 2.0**53:
         raise OutOfRange(f"max |t| * ||H|| = {reach:.3e} exceeds 2^53: phases lost to rounding")
     lams = np.asarray(eigenvalues(H).eigenvalues)
@@ -207,17 +208,19 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    lo, hi = gershgorin_interval(H)
-    scale = max(1.0, abs(lo), abs(hi))
-    if not is_persymmetric(H, tol * scale):
-        raise NotPersymmetric(f"matrix is not mirror symmetric within {tol * scale:.3e}")
+    s = _scaled(H)
+    lo, hi = gershgorin_interval(s)  # of the scaled matrix: ||H||_inf may overflow
+    sym_tol = tol * max(s.factor, abs(lo), abs(hi)) / s.factor  # tol * max(1, ||H||_inf)
+    if not is_persymmetric(H, sym_tol):
+        raise NotPersymmetric(f"matrix is not mirror symmetric within {sym_tol:.3e}")
     spectrum = eigenvalues(H)
     lams = spectrum.eigenvalues
     top = len(lams) - 1
     if top == 0:
         T = math.pi
     else:
-        gaps = [lams[k + 1] - lams[k] for k in range(top)]
+        half = [0.5 * lam for lam in lams]  # exact above the subnormals; their gaps cannot overflow
+        gaps = [half[k + 1] - half[k] for k in range(top)]
         ratios = [gap / gaps[0] for gap in gaps]
         fractions = [_ratio_to_fraction(r, RATIO_DENOMINATOR_BOUND, tol) for r in ratios]
         common = math.lcm(*(f.denominator for f in fractions))
@@ -227,7 +230,7 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
                 f"gaps are commensurable with pi multiples {odd_multiples}, "
                 "which cannot all be odd under any common rescaling"
             )
-        T = math.pi * sum(odd_multiples) / (lams[-1] - lams[0])
+        T = 0.5 * math.pi * sum(odd_multiples) / (half[-1] - half[0])
     phi = ((top % 2) * math.pi - T * lams[0]) % TWO_PI
     spectral_radius = max(abs(lams[0]), abs(lams[-1]))
     tolphase = 1e-8 * (1.0 + abs(T) * spectral_radius)

@@ -1,14 +1,18 @@
+import contextlib
 import json
 import math
+import random
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from genutil import wilkinson
+from genutil import rand_fraction, wilkinson
 from palinfrac.cli import main
 from palinfrac.errors import PalinfracError
 from palinfrac.jfraction import JFraction
 from palinfrac.jacobi import JacobiMatrix
+from palinfrac.pfraction import PFraction, expand_pfraction, pfraction_to_rational
 from palinfrac.polynomial import Polynomial
 
 
@@ -304,6 +308,50 @@ class TestPfrac:
         payload = out_json(result)
         assert payload["palindromic"] is False
         assert payload["cofactor"] is None
+
+
+def _int_digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    limit = _int_digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_pfrac_expand_past_the_int_str_digit_limit(runner, tmp_path):
+    # the quotients of a degree-24 pair carry integers of more than 4300
+    # digits, Python's default cap on int/str conversion (3.11+)
+    rng = random.Random(0)
+    p = Polynomial([rand_fraction(rng) for _ in range(24)] + [1])
+    q = Polynomial([rand_fraction(rng) for _ in range(23)] + [1])
+
+    def expand(name, num, den):
+        paths = [tmp_path / f"{name}_q.json", tmp_path / f"{name}_p.json"]
+        for path, coeffs in zip(paths, (num, den)):
+            path.write_text(json.dumps(coeffs))
+        limit = _int_digit_limit()
+        result = runner.invoke(main, ["pfrac", "expand", *map(str, paths)])
+        assert result.exit_code == 0, result.output
+        assert _int_digit_limit() == limit  # restored after the command
+        return out_json(result)
+
+    quotients = expand("pair", q.to_strings(), p.to_strings())["partial_quotients"]
+    big = max((c for quotient in quotients for c in quotient), key=len)
+    assert max(len(part) for part in big.split("/")) > 4300
+    # the CLI reads such a coefficient back: (x + big) / x^2
+    again = expand("big", [big, "1/1"], ["0/1", "0/1", "1/1"])
+    with _no_int_digit_limit():
+        assert pfraction_to_rational(PFraction.from_json_obj({"partial_quotients": quotients})) == (q, p)
+        big_q = Polynomial.from_strings([big, "1/1"])
+        assert PFraction.from_json_obj(again) == expand_pfraction(big_q, Polynomial((0, 0, 1)))
 
 
 @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import palinfrac.jacobi as jacobi_module
-from genutil import krawtchouk, random_jacobi
+from genutil import krawtchouk, random_jacobi, wilkinson
 from palinfrac.errors import (
     DegenerateSpectrum,
     NotAnEigenvalue,
@@ -181,6 +181,26 @@ class TestEigenvalues:
     def test_tolerance_too_loose(self, chain3):
         with pytest.raises(ToleranceTooLoose):
             eigenvalues(chain3, tol=10.0)
+
+    def test_close_pair_fails_the_computed_gap_check(self):
+        # W19: the top pair lies 7e-12 apart, within the default tol 1e-12 * ||H||_inf
+        with pytest.raises(ToleranceTooLoose, match="computed eigenvalues"):
+            eigenvalues(wilkinson(19))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "h, expected, tol",
+        [
+            (JacobiMatrix((1e308, -1e308), (1e308,)), (-math.sqrt(2) * 1e308, math.sqrt(2) * 1e308), 2e296),
+            (JacobiMatrix((0.0, 0.0), (1e308,)), (-1e308, 1e308), 1e296),
+        ],
+    )
+    def test_overflowing_gershgorin_interval(self, h, expected, tol):
+        # ||H||_inf = 3e308 and 2e308 overflow: the default tol, the bracket
+        # and the midpoints are formed without it
+        spectrum = eigenvalues(h)
+        assert spectrum.eigenvalues == pytest.approx(expected, rel=1e-15)
+        assert spectrum.tolerance == pytest.approx(tol, rel=1e-15)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
     def test_rejects_bad_tolerance_before_bisection(self, chain3, tol, monkeypatch):

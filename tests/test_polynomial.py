@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palinfrac.errors import DivisionByZeroPolynomial
+from palinfrac.errors import DivisionByZeroPolynomial, NotCoprime
+from palinfrac.jfraction import sturm_chain
+from palinfrac.pfraction import expand_pfraction
 from palinfrac.polynomial import (
     ONE,
     X,
@@ -136,6 +138,28 @@ class TestPolynomialBasics:
         assert format_rational(Fraction(3)) == "3/1"
 
 
+def _seeded_pair(rng: random.Random) -> tuple[list, list]:
+    """A dividend and a non-monic divisor whose leading coefficient shares
+    factors with the dividend's coefficients; a third of the dividend's
+    coefficients are zero, and about one divisor in six has degree 0."""
+    lead = rng.choice((2, 3, 4, 6, 12, 30, -10))
+    den = [Fraction(rng.randint(-12, 12), rng.choice((1, 2, 5))) for _ in range(rng.randint(0, 5))]
+    den.append(Fraction(lead, rng.choice((1, 1, 7))))
+    num = [Fraction(rng.choice((0, lead * rng.randint(-9, 9), rng.randint(-99, 99))), rng.choice((1, 3, 4)))
+           for _ in range(rng.randint(0, 12))]
+    num.append(Fraction(rng.choice((lead, 1, -2, 9)) * rng.randint(1, 9), rng.choice((1, 5))))
+    return num, den
+
+
+def _ref_euclid_remainders(a: tuple, b: tuple) -> list:
+    """Every nonzero -rem of the plain Euclid on Fraction lists, as the
+    reference for the remainder chains built on `poly_divmod`."""
+    chain = [a, b]
+    while chain[-1]:
+        chain.append(tuple(-c for c in _ref_divmod(chain[-2], chain[-1])[1]))
+    return chain[:-1]
+
+
 class TestDivMod:
     def test_examples(self):
         num = Polynomial((0, -1, 0, 1))          # x^3 - x
@@ -153,6 +177,19 @@ class TestDivMod:
     def test_zero_divisor(self):
         with pytest.raises(DivisionByZeroPolynomial):
             poly_divmod(ONE, ZERO)
+
+    def test_seeded_pairs_match_fraction_reference(self):
+        rng = random.Random(9)
+        degree_zero = zero_tops = 0
+        for _ in range(500):
+            num, den = _seeded_pair(rng)
+            quotient, remainder = poly_divmod(Polynomial(num), Polynomial(den))
+            assert (quotient.coefficients, remainder.coefficients) == _ref_divmod(num, den)
+            _assert_canonical(quotient)
+            _assert_canonical(remainder)
+            degree_zero += len(den) == 1
+            zero_tops += 0 in num[len(den) - 1:]
+        assert degree_zero >= 50 and zero_tops >= 200
 
     @settings(max_examples=120, deadline=None)
     @given(small_poly, nonzero_poly)
@@ -240,6 +277,61 @@ class TestIntegerCore:
                 _assert_canonical(copied)
         with pytest.raises(AttributeError):
             p.degree = 5
+
+
+class TestDivisionClients:
+    """The remainder chains built on `poly_divmod`, checked step by step
+    against the Fraction long division `_ref_divmod`."""
+
+    def test_sturm_chain_matches_fraction_reference(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            p = Polynomial(_seeded_pair(rng)[0])
+            if p.degree < 1:
+                continue
+            chain = sturm_chain(p)
+            assert chain[0].coefficients == tuple(c / abs(p.content) for c in p.coefficients)
+            for k in range(2, len(chain)):
+                # chain[k] is -rem(chain[k-2], chain[k-1]) up to a positive factor
+                ref = [-c for c in _ref_divmod(chain[k - 2].coefficients, chain[k - 1].coefficients)[1]]
+                factor = chain[k].leading_coefficient / ref[-1]
+                assert factor > 0 and chain[k].coefficients == tuple(factor * c for c in ref)
+            assert not _ref_divmod(chain[-2].coefficients, chain[-1].coefficients)[1]
+
+    def test_expand_pfraction_matches_fraction_reference(self):
+        rng = random.Random(23)
+        coprime = 0
+        for _ in range(60):
+            num, den = _seeded_pair(rng)
+            p, q = Polynomial(num), Polynomial(den)
+            if not 0 <= q.degree < p.degree:
+                continue
+            chain = _ref_euclid_remainders(p.coefficients, q.coefficients)
+            quotients = [_ref_divmod(chain[k], chain[k + 1])[0] for k in range(len(chain) - 1)]
+            if len(chain[-1]) > 1:  # a nonconstant gcd
+                with pytest.raises(NotCoprime):
+                    expand_pfraction(q, p)
+                continue
+            got = expand_pfraction(q, p).partial_quotients
+            assert [g.coefficients for g in got] == quotients
+            coprime += 1
+        assert coprime >= 30
+
+
+class TestRepr:
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ((), "Polynomial(0)"),
+            ((-1, 0, 1), "Polynomial(x^2 - 1)"),
+            ((Fraction(1, 2), -1), "Polynomial(-x + 1/2)"),
+            ((0, 3), "Polynomial(3*x)"),
+            ((0, 0, 0, -1), "Polynomial(-x^3)"),
+            ((Fraction(-2, 3), 1, Fraction(7, 5)), "Polynomial(7/5*x^2 + x - 2/3)"),
+        ],
+    )
+    def test_golden(self, coeffs, text):
+        assert repr(Polynomial(coeffs)) == text
 
 
 class TestGcd:

@@ -83,6 +83,20 @@ class TestVerify:
         with pytest.raises(NotPersymmetric):
             verify_pst(JacobiMatrix((0.0, 1.0, 2.0), (1.0, 1.0)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norm(self):
+        # ||H||_inf = 3e308 overflowed to a symmetry tolerance of inf, so the
+        # asymmetric chain passed; the spread 2e308 of the symmetric one made
+        # its gap ratio NaN
+        with pytest.raises(NotPersymmetric):
+            verify_pst(JacobiMatrix((1e308, -1e308), (1e308,)))
+        h = JacobiMatrix((0.0, 0.0), (1e308,))
+        cert = verify_pst(h)
+        assert cert.spectrum.eigenvalues == (-1e308, 1e308)
+        assert cert.T == pytest.approx(math.pi / 2 * 1e-308, rel=1e-12)
+        assert check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, 1e-8)
+        assert fidelity(h, cert.T) == pytest.approx(1.0, abs=1e-12)
+
     def test_even_gap_multiple_has_no_odd_scaling(self):
         # spectrum {-1, 0, 2}: gaps 1 and 2, so T would need an even pi multiple
         with pytest.raises(NoOddScaling):
@@ -172,6 +186,24 @@ class TestEvolve:
             fidelity(h, t)
         with pytest.raises(OutOfRange):
             evolve(h, (0.0, t))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "h, transfer",
+        [
+            # |<e_1|e^{itH}|e_0>|^2 = (b / w)^2 sin^2(w t), w = sqrt(a^2 + b^2)
+            (JacobiMatrix((1e308, -1e308), (1e308,)), 0.5 * math.sin(math.sqrt(2)) ** 2),
+            (JacobiMatrix((0.0, 0.0), (1e308,)), math.sin(1.0) ** 2),
+        ],
+    )
+    def test_overflowing_norm(self, h, transfer):
+        # ||H||_inf overflows, t ||H|| does not
+        trace = evolve(h, (0.0, 1e-308))
+        assert trace.amplitudes[0] == pytest.approx([1.0, 0.0])
+        assert abs(trace.amplitudes[1, 1]) ** 2 == pytest.approx(transfer, rel=1e-12)
+        assert fidelity(h, 1e-308) == pytest.approx(transfer, rel=1e-12)
+        with pytest.raises(OutOfRange):
+            fidelity(h, 1.0)
 
     def test_phase_resolution_bound(self):
         # ||H|| = 1: max |t| ||H|| = 2^53 is the last time accepted

@@ -8,6 +8,10 @@ Domain errors exit with status 1 and a machine-readable
 
 The environment variable PALINFRAC_TOL overrides the default numeric
 tolerance 1e-12 used by the spectral commands.
+
+The float layers (and numpy with them) are imported inside the four
+commands that need them, `jacobi eig` and `pst verify|design|simulate`,
+so the exact commands start without loading numpy.
 """
 
 from __future__ import annotations
@@ -19,12 +23,10 @@ import sys
 
 import click
 
-from . import jacobi as jacobi_mod
 from . import jfraction as jfraction_mod
 from . import numeric_cf as ncf_mod
 from . import pfraction as pfraction_mod
 from . import polynomial as polynomial_mod
-from . import pst as pst_mod
 from .errors import PalinfracError
 from .polynomial import Polynomial
 
@@ -73,10 +75,12 @@ def _load_monic_pair(qfile: str, pfile: str) -> tuple[Polynomial, Polynomial]:
     return q.monic(), p.monic()
 
 
-def _load_matrix(path: str) -> jacobi_mod.JacobiMatrix:
+def _load_matrix(path: str):
+    from .jacobi import JacobiMatrix
+
     data = _load_json(path)
     try:
-        return jacobi_mod.JacobiMatrix.from_json_obj(data)
+        return JacobiMatrix.from_json_obj(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise click.UsageError(f"{path}: bad Jacobi matrix: {exc}")
 
@@ -234,10 +238,12 @@ def jacobi() -> None:
 @click.argument("hfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", type=float, default=None, help="Bracket separation tolerance.")
 def jacobi_eig(hfile: str, tol: float | None) -> None:
-    """Eigenvalues by Sturm bisection."""
+    """Eigenvalues by Sturm multisection."""
+    from .jacobi import eigenvalues
+
     matrix = _load_matrix(hfile)
     tol = _default_tol() if tol is None else _checked_tol(tol, "--tol")
-    spectrum = jacobi_mod.eigenvalues(matrix, tol)
+    spectrum = eigenvalues(matrix, tol)
     _emit({"eigenvalues": list(spectrum.eigenvalues), "tolerance": spectrum.tolerance})
 
 
@@ -253,8 +259,10 @@ def pst() -> None:
 @click.argument("hfile", type=click.Path(exists=True, dir_okay=False))
 def pst_verify(hfile: str) -> None:
     """Certificate (T, phi) for perfect transfer on the given chain."""
+    from .pst import verify_pst
+
     matrix = _load_matrix(hfile)
-    certificate = pst_mod.verify_pst(matrix, _default_tol())
+    certificate = verify_pst(matrix, _default_tol())
     _emit(certificate.to_json_obj())
 
 
@@ -262,14 +270,17 @@ def pst_verify(hfile: str) -> None:
 @click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
 def pst_design(specfile: str) -> None:
     """Persymmetric chain with the prescribed spectrum."""
+    from .jacobi import Spectrum
+    from .pst import design_persymmetric
+
     data = _load_json(specfile)
     try:
         values = data["eigenvalues"]
         tolerance = float(data["tolerance"]) if "tolerance" in data else _default_tol()
-        spectrum = jacobi_mod.Spectrum(values, tolerance)
+        spectrum = Spectrum(values, tolerance)
     except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"{specfile}: bad spectrum: {exc}")
-    _emit(pst_mod.design_persymmetric(spectrum).to_json_obj())
+    _emit(design_persymmetric(spectrum).to_json_obj())
 
 
 @pst.command("simulate")
@@ -280,6 +291,8 @@ def pst_design(specfile: str) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="CSV output path.")
 def pst_simulate(hfile: str, t0: float, t1: float, steps: int, out: str | None) -> None:
     """Amplitudes of e^{itH} e_0 on an even time grid, as CSV."""
+    from .pst import evolve
+
     if steps < 1:
         raise click.UsageError("--steps must be >= 1")
     matrix = _load_matrix(hfile)
@@ -290,7 +303,7 @@ def pst_simulate(hfile: str, t0: float, t1: float, steps: int, out: str | None) 
         times = [t0 + i * step for i in range(steps)]
     if not all(math.isfinite(t) for t in (t1, *times)):  # also catches an overflowing step
         raise click.UsageError("--t0, --t1 and the time grid between them must be finite")
-    trace = pst_mod.evolve(matrix, times)
+    trace = evolve(matrix, times)
     if out is None:
         trace.to_csv(sys.stdout)
     else:

@@ -249,7 +249,9 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     |lambda_k - lambda_j| define the discrete measure of the mirror
     symmetric chain; a fully reorthogonalized Lanczos pass on
     diag(lambda) started from the weight vector reads off the recurrence
-    coefficients.  The result is validated against the contract
+    coefficients.  Both run on mu = lambda / scale, which lies in [-1, 1],
+    and the chain is multiplied by scale at the end, so a spectrum spread
+    near the largest double cannot overflow.  The result is validated against the contract
     (persymmetry within 1e-10, eigenvalues within delta = 1e-8, both
     scaled by max(1, max |lambda|)); InternalCheckFailed names the first
     index that fails.
@@ -267,11 +269,12 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     if n == 1:
         return JacobiMatrix((float(lams[0]),))
     scale = max(1.0, float(np.abs(lams).max()))
-    if float(np.diff(lams).min()) <= 1e-14 * scale:
+    mus = lams / scale  # in [-1, 1]: gaps, weights and Lanczos cannot overflow
+    if float(np.diff(mus).min()) <= 1e-14:
         raise DegenerateSpectrum("eigenvalues too close to resolve the weight formula")
 
     # log-space: the products overflow from N ~ 170 on (equally spaced spectrum)
-    log_weights = np.array([-np.log(np.abs(lams[k] - np.delete(lams, k))).sum() for k in range(n)])
+    log_weights = np.array([-np.log(np.abs(mus[k] - np.delete(mus, k))).sum() for k in range(n)])
     weights_sq = np.exp(log_weights - log_weights.max())
     weights_sq /= weights_sq.sum()
     start = np.sqrt(weights_sq)
@@ -282,7 +285,7 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     off = np.empty(n - 1)
     vector = start
     for j in range(n):
-        work = lams * vector
+        work = mus * vector
         diag[j] = float(vector @ work)
         work = work - diag[j] * vector
         if j > 0:
@@ -292,13 +295,13 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
         if j == n - 1:
             break
         norm = float(np.linalg.norm(work))
-        if norm <= 1e-13 * scale:
+        if norm <= 1e-13:
             raise DegenerateSpectrum("discrete measure collapsed during orthogonalization")
         off[j] = norm
         vector = work / norm
         basis[:, j + 1] = vector
 
-    designed = JacobiMatrix(tuple(map(float, diag)), tuple(map(float, off)))
+    designed = JacobiMatrix(tuple(map(float, diag * scale)), tuple(map(float, off * scale)))
     if not is_persymmetric(designed, 1e-10 * scale):
         raise InternalCheckFailed("designed matrix failed its persymmetry contract")
     delta = 1e-8 * scale

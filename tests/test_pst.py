@@ -337,6 +337,37 @@ class TestDesignCertificate:
 
 
 @pytest.mark.filterwarnings("error")
+class TestDesignScale:
+    @pytest.mark.parametrize(
+        "lams, tol",
+        [
+            ((-1e308, 1e308), 1e296),  # the gap overflowed
+            ((-1e308, 0.0, 1e308), 1e296),  # a false DegenerateSpectrum
+            ((-1e307, 0.0, 1e307), 1e295),  # the Lanczos dot product overflowed
+            ((-1e300, 0.0, 1e300), 1e288),
+        ],
+    )
+    def test_spectrum_near_the_largest_double(self, lams, tol):
+        h = design_persymmetric(Spectrum(lams, tol))
+        scale = max(abs(lam) for lam in lams)
+        assert is_persymmetric(h, 1e-10 * scale)
+        assert np.abs(np.asarray(eigenvalues(h).eigenvalues) - lams).max() <= 1e-8 * scale
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_power_of_two_equivariance(self, seed):
+        # with max |lambda| >= 1 the scale is max |lambda|, and 2^600 scales it exactly
+        rng = random.Random(seed)
+        spread = 2.0 ** rng.uniform(0, 30)
+        inner = [rng.uniform(-spread, spread) for _ in range(rng.randint(1, 40))]
+        lams = sorted([rng.choice((-spread, spread)), *inner])
+        big = 2.0**600
+        h = design_persymmetric(Spectrum(lams, 1e-12))
+        h_big = design_persymmetric(Spectrum([big * lam for lam in lams], 1e-12))
+        assert h_big.diag == tuple(big * a for a in h.diag)
+        assert h_big.offdiag == tuple(big * b for b in h.offdiag)
+
+
+@pytest.mark.filterwarnings("error")
 class TestKrawtchoukScale:
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_verify(self, n):

@@ -49,22 +49,25 @@ def _emit(payload) -> None:
     click.echo(json.dumps(payload))
 
 
-def _load_json(path: str):
+def _load(path: str, what: str, build):
+    """build(data) for the JSON value in path; an unreadable file or a bad
+    value, a number too large for a float too, is a usage error naming path."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            return build(json.load(handle))
+    except OSError as exc:
         raise click.UsageError(f"cannot read {path}: {exc}")
+    except (ValueError, TypeError, KeyError, OverflowError, ZeroDivisionError) as exc:  # bad JSON too
+        raise click.UsageError(f"{path}: bad {what}: {exc}")
 
 
 def _load_poly(path: str) -> Polynomial:
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise click.UsageError(f"{path}: expected a JSON array of coefficient strings")
-    try:
+    def polynomial(data) -> Polynomial:
+        if not isinstance(data, list):
+            raise TypeError("expected a JSON array of coefficient strings")
         return Polynomial.from_strings(data)
-    except (ValueError, OverflowError, ZeroDivisionError, TypeError) as exc:  # Fraction(inf) overflows
-        raise click.UsageError(f"{path}: bad coefficient: {exc}")
+
+    return _load(path, "coefficient", polynomial)
 
 
 def _load_monic_pair(qfile: str, pfile: str) -> tuple[Polynomial, Polynomial]:
@@ -78,11 +81,7 @@ def _load_monic_pair(qfile: str, pfile: str) -> tuple[Polynomial, Polynomial]:
 def _load_matrix(path: str):
     from .jacobi import JacobiMatrix
 
-    data = _load_json(path)
-    try:
-        return JacobiMatrix.from_json_obj(data)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise click.UsageError(f"{path}: bad Jacobi matrix: {exc}")
+    return _load(path, "Jacobi matrix", JacobiMatrix.from_json_obj)
 
 
 def _reduced_pair(q: int, p: int) -> tuple[int, int]:
@@ -273,14 +272,11 @@ def pst_design(specfile: str) -> None:
     from .jacobi import Spectrum
     from .pst import design_persymmetric
 
-    data = _load_json(specfile)
-    try:
-        values = data["eigenvalues"]
+    def spectrum(data) -> Spectrum:
         tolerance = float(data["tolerance"]) if "tolerance" in data else _default_tol()
-        spectrum = Spectrum(values, tolerance)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise click.UsageError(f"{specfile}: bad spectrum: {exc}")
-    _emit(design_persymmetric(spectrum).to_json_obj())
+        return Spectrum(data["eigenvalues"], tolerance)
+
+    _emit(design_persymmetric(_load(specfile, "spectrum", spectrum)).to_json_obj())
 
 
 @pst.command("simulate")

@@ -14,14 +14,15 @@ Ratios of consecutive values are the pivots of H - xI = L D L^T,
 
     q_k = -b_k p_{k+1}(x) / p_k(x) = (a_k - x) - b_{k-1}^2 / q_{k-1},
 
-the same recurrence in a form that neither overflows nor underflows.  By
-Sylvester's law of inertia the number of negative pivots is the number of
-eigenvalues below x; that count, taken for many shifts at once, drives
-the multisection eigenvalue solver (2^b - 1 points per bracket and pass,
-b fixed by N), which therefore exercises the recurrence itself instead of
-delegating to a dense solver.  The result is bit-identical to bisection.  Run from both ends, the
-pivots give twisted factorizations and with them every eigenvector in
-O(N) (Dhillon & Parlett).
+the same recurrence in a form that neither overflows nor underflows, and
+the levels of a J-fraction (`_pivots`).  One kernel tabulates them, N x M
+for M shifts at once.  By Sylvester's law of inertia the negative entries
+of a column count the eigenvalues below its shift; that count drives the
+multisection eigenvalue solver (2^b - 1 points per bracket and pass, b
+fixed by N), bit-identical to bisection, which therefore exercises the
+recurrence itself instead of delegating to a dense solver.  With the table
+of the mirrored matrix read bottom-up, the pivots give twisted
+factorizations and with them every eigenvector in O(N) (Dhillon & Parlett).
 
 Everything in this module runs in 64-bit floating point; exact rationals
 enter only through the explicit conversion in `from_jfraction`.
@@ -36,7 +37,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NotAnEigenvalue, SizeTooSmall, ToleranceTooLoose
+from .errors import DegenerateSpectrum, NotAnEigenvalue, OutOfRange, SizeTooSmall, ToleranceTooLoose
 from .jfraction import JFraction
 from .polynomial import three_term
 
@@ -165,72 +166,79 @@ def truncate_first(H: JacobiMatrix) -> JacobiMatrix:
 
 def gershgorin_interval(H: JacobiMatrix) -> tuple[float, float]:
     """Closed interval guaranteed to contain every eigenvalue (row-sum bound);
-    max(|lo|, |hi|) is ||H||_inf.  Any H with ``diag`` and ``offdiag`` works."""
-    lo = math.inf
-    hi = -math.inf
-    for k in range(len(H.diag)):
-        radius = (H.offdiag[k - 1] if k > 0 else 0.0) + (H.offdiag[k] if k < len(H.offdiag) else 0.0)
-        lo = min(lo, H.diag[k] - radius)
-        hi = max(hi, H.diag[k] + radius)
-    return lo, hi
+    max(|lo|, |hi|) is ||H||_inf.  `_scaled` keeps it for the scaled matrix."""
+    s = _scaled(H)
+    return s.lo / s.factor, s.hi / s.factor
 
 
 class _Scaled(NamedTuple):
-    """H times the power of 2 that brings its largest entry into [1, 2),
-    with what its pivot recurrence needs: b^2 and the guard pivmin."""
+    """H times the power of 2 that brings its largest entry into [1, 2), with
+    b^2, the pivot guard pivmin and the ends lo, hi of its Gershgorin interval."""
 
     diag: list[float]
     offdiag: list[float]
     coupling_sq: list[float]
     pivmin: float
     factor: float
+    lo: float
+    hi: float
+
+    @property
+    def norm(self) -> float:
+        """||H||_inf of the scaled matrix, finite where that of H may overflow."""
+        return max(abs(self.lo), abs(self.hi))
+
+    def mirrored(self) -> "_Scaled":
+        """The scaled form of the mirrored matrix, sites N..0 as 0..N."""
+        return _Scaled(self.diag[::-1], self.offdiag[::-1], self.coupling_sq[::-1], *self[3:])
 
 
 def _scaled(H: JacobiMatrix) -> _Scaled:
     """The scaled form of H, prepared once per matrix.
 
     The scaling is exact, except for entries more than 2^1021 times smaller
-    than the largest, which lie far below its rounding anyway; the b^2 of
-    the pivot recurrence then cannot overflow (LAPACK dstevx scales too).
+    than the largest, which lie far below its rounding anyway (a matrix of
+    subnormals is scaled by 2^1023 only); the b^2 of the pivot recurrence
+    then cannot overflow (LAPACK dstevx scales too), nor can ||H||_inf.
     The pivot guard is pivmin = tiny * max(1, max b^2).
     """
-    factor = 2.0 ** (1 - math.frexp(max(map(abs, H.diag + H.offdiag)))[1])
+    factor = 2.0 ** min(1023, 1 - math.frexp(max(map(abs, H.diag + H.offdiag)))[1])
+    diag = [a * factor for a in H.diag]
     offdiag = [b * factor for b in H.offdiag]
     coupling_sq = [b * b for b in offdiag]
     pivmin = sys.float_info.min * max([1.0, *coupling_sq])
-    return _Scaled([a * factor for a in H.diag], offdiag, coupling_sq, pivmin, factor)
+    radius = [left + right for left, right in zip([0.0, *offdiag], [*offdiag, 0.0])]
+    lo = min(a - r for a, r in zip(diag, radius))
+    hi = max(a + r for a, r in zip(diag, radius))
+    return _Scaled(diag, offdiag, coupling_sq, pivmin, factor, lo, hi)
 
 
-def _pivots(s: _Scaled, shifts: np.ndarray, reverse: bool = False):
-    """Pivots q_k = (a_k - x) - b_{k-1}^2 / q_{k-1} of H - xI = L D L^T for
-    every (scaled) shift x at once, yielded one row per k together with the
-    mask of its negative entries; with ``reverse`` the recurrence runs from
-    the last site back to the first.
+def _pivots(s: _Scaled, shifts: np.ndarray) -> np.ndarray:
+    """The N x M table of pivots q_k = (a_k - x) - b_{k-1}^2 / q_{k-1} of
+    H - xI = L D L^T, row k for site k, one column per (scaled) shift x.
+    Read bottom-up, the table of `_Scaled.mirrored` holds minus the levels
+    x - a_k - b_k^2 / (x - a_{k+1} - ...) of the J-fraction
+    1 / (x - a_0 - b_0^2 / (x - a_1 - ...)) at every shift; this table,
+    likewise, those of the J-fraction of the mirrored chain.
 
-    A pivot smaller in magnitude than pivmin becomes -pivmin before anyone
-    reads it (the LAPACK dstebz guard), so b^2 / q never exceeds 1 / tiny
-    and an exact eigenvalue hit counts as lying below the shift.
+    A pivot smaller in magnitude than pivmin becomes -pivmin before the
+    next row reads it (the LAPACK dstebz guard), so b^2 / q never exceeds
+    1 / tiny and an exact eigenvalue hit counts as lying below the shift.
     """
-    diag, coupling_sq, pivmin = s.diag, s.coupling_sq, s.pivmin
-    if reverse:
-        diag, coupling_sq = diag[::-1], coupling_sq[::-1]
-    pivot = diag[0] - shifts
-    for k in range(len(diag)):
+    table = np.subtract.outer(s.diag, shifts)  # a_k - x
+    for k, row in enumerate(table):
         if k:
-            pivot = (diag[k] - shifts) - coupling_sq[k - 1] / pivot
-        negative = pivot < pivmin
-        np.minimum(pivot, -pivmin, out=pivot, where=negative)
-        yield pivot, negative
+            row -= s.coupling_sq[k - 1] / table[k - 1]
+        np.minimum(row, -s.pivmin, out=row, where=row < s.pivmin)
+    return table
 
 
 def _count_less(s: _Scaled, shifts) -> np.ndarray:
     """Number of eigenvalues below each shift, an array of any shape: by
     Sylvester's law of inertia, the number of negative pivots of H - xI."""
     shifts = np.asarray(shifts, dtype=float)
-    count = np.zeros(shifts.size, dtype=np.intp)
-    for _, negative in _pivots(s, shifts.ravel() * s.factor):  # 1-d runs a few % faster
-        count += negative
-    return count.reshape(shifts.shape)
+    negative = _pivots(s, shifts.ravel() * s.factor) < 0
+    return negative.sum(axis=0).reshape(shifts.shape)
 
 
 def _to_keys(x) -> np.ndarray:
@@ -263,19 +271,18 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     ``tol``; ``tol`` (default 1e-12 scaled by the Gershgorin radius) is the
     separation the resulting Spectrum certifies.  Raises ToleranceTooLoose
     when ``tol`` exceeds the best possible eigenvalue gap or any computed
-    gap fails it.
+    gap fails it, and OutOfRange for an eigenvalue past the largest double.
     """
     n = H.size
     s = _scaled(H)
-    lo, hi = gershgorin_interval(s)  # of the scaled matrix: ||H||_inf may overflow
-    scale = max(s.factor, abs(lo), abs(hi))  # max(1, ||H||_inf), scaled
+    scale = max(s.factor, s.norm)  # max(1, ||H||_inf), scaled
     if tol is None:
         tol = 1e-12 * scale / s.factor
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if n == 1:
         return Spectrum((H.diag[0],), tol)
-    best_gap = (hi - lo) / (n - 1) / s.factor
+    best_gap = (s.hi - s.lo) / (n - 1) / s.factor
     if tol >= best_gap:
         raise ToleranceTooLoose(
             f"tol {tol} is not below the best possible gap {best_gap} "
@@ -293,8 +300,8 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     b = max(1, min(6, (1024 // n + 1).bit_length() - 1))
     shift, low_bits = np.uint64(b), np.uint64(2**b - 1)
     j = np.arange(1, 2**b, dtype=np.uint64)
-    lower = np.full(n, _to_keys((lo - pad) / s.factor))  # +-inf past the largest double
-    upper = np.full(n, _to_keys((hi + pad) / s.factor))
+    lower = np.full(n, _to_keys((s.lo - pad) / s.factor))  # +-inf past the largest double
+    upper = np.full(n, _to_keys((s.hi + pad) / s.factor))
     index = np.arange(n)
     upper_above = np.ones((n, 1), dtype=bool)  # the upper end lies above its index
     while True:
@@ -311,6 +318,8 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     # 0.5 * (lower + upper) of two adjacent doubles rounds to the end with the
     # even key (ties to even); picking it directly cannot overflow
     found = _from_keys(np.where(lower & 1, upper, lower))
+    if np.isinf(found).any():  # a bracket end at +-inf has the even key
+        raise OutOfRange(f"eigenvalue {np.isinf(found).argmax()} lies past the largest double")
     found[np.abs(found) <= s.pivmin / s.factor] = 0.0  # an eigenvalue 0 lands on -pivmin
     try:
         return Spectrum(found, tol)
@@ -336,9 +345,8 @@ def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:
     if not np.isfinite(lams).all():
         raise ValueError("eigenvectors needs finite eigenvalues")
     s = _scaled(H)
-    lo, hi = gershgorin_interval(s)  # of the scaled matrix: ||H||_inf may overflow
-    bound = 1e-8 * max(abs(lo), abs(hi))  # 1e-8 * ||H||_inf, scaled
-    outside = (lams < (lo - bound) / s.factor) | (lams > (hi + bound) / s.factor)
+    bound = 1e-8 * s.norm  # 1e-8 * ||H||_inf, scaled
+    outside = (lams < (s.lo - bound) / s.factor) | (lams > (s.hi + bound) / s.factor)
     if outside.any():
         raise NotAnEigenvalue(
             f"{float(lams[outside][0])!r} lies more than 1e-8 * ||H|| = {bound / s.factor:.3e} "
@@ -348,12 +356,8 @@ def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:
     n = H.size
     if not lams.size:
         return np.zeros((n, 0))
-    forward = np.empty((n, lams.size))
-    backward = np.empty((n, lams.size))
-    for k, (pivot, _) in enumerate(_pivots(s, lams)):
-        forward[k] = pivot
-    for k, (pivot, _) in enumerate(_pivots(s, lams, reverse=True)):
-        backward[n - 1 - k] = pivot
+    forward = _pivots(s, lams)
+    backward = _pivots(s.mirrored(), lams)[::-1]
     diag, off = np.asarray(s.diag), np.asarray(s.offdiag)
     vectors = forward + backward  # gamma, then the solution, in one array
     vectors -= diag[:, None]

@@ -22,9 +22,10 @@ fully reorthogonalized Lanczos pass on the diagonal eigenvalue matrix
 started from the weight vector, reading the chain off the recurrence
 coefficients.  The weight formula is not taken on faith: the construction
 validates its own contract before returning, persymmetry entry by entry
-and the spectrum by a two-count certificate, one pivot count of the
-designed chain at every lambda_k - delta and lambda_k + delta, with no
-bisection.
+and the spectrum by a two-count certificate, one pivot count at every
+lambda_k - delta and lambda_k + delta, with no bisection.  Both the
+construction and the count run on the spectrum scaled by a power of 2
+into (-1, 1), so neither can overflow.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .jacobi import (
     _scaled,
     eigenvalues,
     eigenvectors,
-    gershgorin_interval,
     is_persymmetric,
 )
 from .numeric_cf import convergents, expand_euclid
@@ -134,16 +134,12 @@ def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     if not all(math.isfinite(t) for t in times):
         raise ValueError("evolve needs finite times")
     s = _scaled(H)
-    lo, hi = gershgorin_interval(s)  # of the scaled matrix: ||H||_inf may overflow
-    reach = max(map(abs, times), default=0.0) / s.factor * max(abs(lo), abs(hi))
+    reach = max(map(abs, times), default=0.0) / s.factor * s.norm
     if reach > 2.0**53:
         raise OutOfRange(f"max |t| * ||H|| = {reach:.3e} exceeds 2^53: phases lost to rounding")
     lams = np.asarray(eigenvalues(H).eigenvalues)
     basis = eigenvectors(H, lams)
-    first_components = basis[0, :]
-    amplitudes = np.empty((len(times), H.size), dtype=complex)
-    for i, t in enumerate(times):
-        amplitudes[i] = basis @ (np.exp(1j * t * lams) * first_components)
+    amplitudes = (np.exp(1j * np.multiply.outer(times, lams)) * basis[0]) @ basis.T
     try:
         return AmplitudeTrace(times, amplitudes)
     except ValueError as exc:  # eigenvectors of close eigenvalue pairs are not reorthogonalized
@@ -209,8 +205,7 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     s = _scaled(H)
-    lo, hi = gershgorin_interval(s)  # of the scaled matrix: ||H||_inf may overflow
-    sym_tol = tol * max(s.factor, abs(lo), abs(hi)) / s.factor  # tol * max(1, ||H||_inf)
+    sym_tol = tol * max(s.factor, s.norm) / s.factor  # tol * max(1, ||H||_inf)
     if not is_persymmetric(H, sym_tol):
         raise NotPersymmetric(f"matrix is not mirror symmetric within {sym_tol:.3e}")
     spectrum = eigenvalues(H)
@@ -249,17 +244,18 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     |lambda_k - lambda_j| define the discrete measure of the mirror
     symmetric chain; a fully reorthogonalized Lanczos pass on
     diag(lambda) started from the weight vector reads off the recurrence
-    coefficients.  Both run on mu = lambda / scale, which lies in [-1, 1],
-    and the chain is multiplied by scale at the end, so a spectrum spread
-    near the largest double cannot overflow.  The result is validated against the contract
-    (persymmetry within 1e-10, eigenvalues within delta = 1e-8, both
-    scaled by max(1, max |lambda|)); InternalCheckFailed names the first
-    index that fails.
+    coefficients.  Both run on mu = lambda / 2^e, 2^e the power of 2 that
+    brings max(1, max |lambda|) into [1/2, 1), and the chain is multiplied
+    by 2^e at the end, so a spectrum spread near the largest double cannot
+    overflow.  The result is validated against the contract (persymmetry
+    within 1e-10, eigenvalues within delta = 1e-8, both scaled by
+    max(1, max |lambda|)); InternalCheckFailed names the first index that fails.
 
     The eigenvalues are certified, not recomputed: one Sturm count of the
-    designed chain at the 2N shifts lambda_k -+ delta.  count(lambda_k -
-    delta) <= k says that at most k eigenvalues lie below lambda_k - delta,
-    and k < count(lambda_k + delta) that at least k + 1 lie below
+    mu-chain (`_scaled` gives it the pivots of the returned chain) at the
+    2N shifts mu_k -+ d, d = delta / 2^e, which cannot overflow.
+    count(mu_k - d) <= k says that at most k eigenvalues lie below
+    lambda_k - delta, and k < count(mu_k + d) that at least k + 1 lie below
     lambda_k + delta, so the k-th eigenvalue lies in [lambda_k - delta,
     lambda_k + delta] (Sylvester's law of inertia; an exact hit counts as
     below).  No gap condition is needed.
@@ -269,7 +265,8 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     if n == 1:
         return JacobiMatrix((float(lams[0]),))
     scale = max(1.0, float(np.abs(lams).max()))
-    mus = lams / scale  # in [-1, 1]: gaps, weights and Lanczos cannot overflow
+    e = math.frexp(scale)[1]
+    mus = np.ldexp(lams, -e)  # in (-1, 1): gaps, weights and Lanczos cannot overflow
     if float(np.diff(mus).min()) <= 1e-14:
         raise DegenerateSpectrum("eigenvalues too close to resolve the weight formula")
 
@@ -301,11 +298,12 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
         vector = work / norm
         basis[:, j + 1] = vector
 
-    designed = JacobiMatrix(tuple(map(float, diag * scale)), tuple(map(float, off * scale)))
+    designed = JacobiMatrix(np.ldexp(diag, e), np.ldexp(off, e))
     if not is_persymmetric(designed, 1e-10 * scale):
         raise InternalCheckFailed("designed matrix failed its persymmetry contract")
     delta = 1e-8 * scale
-    below, above = _count_less(_scaled(designed), (lams - delta, lams + delta))
+    d = math.ldexp(delta, -e)
+    below, above = _count_less(_scaled(JacobiMatrix(diag, off)), (mus - d, mus + d))
     index = np.arange(n)
     missed = np.flatnonzero((below > index) | (above <= index))
     if missed.size:

@@ -195,6 +195,30 @@ class TestJacobi:
         assert result.exit_code == 2
         assert "bad spectrum" in result.stderr
 
+    @pytest.mark.parametrize(
+        "command",
+        [["jacobi", "eig"], ["pst", "verify"], ["pst", "simulate", "--t1", "1", "--steps", "2"], ["pst", "design"]],
+    )
+    def test_integer_too_large_for_a_float_is_usage_error(self, runner, tmp_path, command):
+        # json.load reads it as an int, and float() of it raised OverflowError
+        big = "1" + "0" * 400
+        path = tmp_path / "big.json"
+        if command[1] == "design":
+            path.write_text(f'{{"eigenvalues": [-1, {big}]}}')
+        else:
+            path.write_text(f'{{"diag": [{big}, 0], "offdiag": [1]}}')
+        result = runner.invoke(main, [*command, str(path)])
+        assert result.exit_code == 2
+        assert f"{path}: bad " in result.stderr
+
+    def test_eigenvalue_past_the_largest_double_is_a_domain_error(self, runner, tmp_path):
+        # the lowest eigenvalue is -2e308
+        path = tmp_path / "past.json"
+        path.write_text('{"diag": [-1e308, -1e308], "offdiag": [1e308]}')
+        result = runner.invoke(main, ["jacobi", "eig", str(path)])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "OutOfRange"
+
 
 class TestPst:
     def test_verify(self, runner, files):

@@ -18,6 +18,7 @@ from palinfrac.jacobi import (
     JacobiMatrix,
     Spectrum,
     _count_less,
+    _pivots,
     _scaled,
     charpoly_check,
     eigenvalues,
@@ -264,6 +265,57 @@ class TestEigenvalues:
             lo, hi = gershgorin_interval(h)
             eigs = np.linalg.eigvalsh(h.dense())
             assert lo - 1e-12 <= eigs.min() and eigs.max() <= hi + 1e-12
+
+
+def recurrence_pivots(h: JacobiMatrix, xs) -> np.ndarray:
+    """-b_k p_{k+1}(x) / p_k(x), b_N = 1, from the normalized three-term
+    recurrence (`three_term`, independent of the pivot kernel): row k, one
+    column per x."""
+    right = h.offdiag + (1.0,)
+    columns = []
+    for x in xs:
+        p = normalized_poly_sequence(h, float(x))
+        columns.append([-b * p[k + 1] / p[k] for k, b in enumerate(right)])
+    return np.array(columns).T
+
+
+class TestPivotTable:
+    """Row k of the table is the pivot q_k = -b_k p_{k+1}(x) / p_k(x) of the
+    paper's recurrence, times the scale factor, at the scaled shift."""
+
+    def test_matches_the_recurrence_outside_the_gershgorin_interval(self):
+        rng = random.Random(71)
+        for _ in range(30):
+            h = random_jacobi(rng, rng.randint(1, 16))
+            lo, hi = gershgorin_interval(h)
+            xs = np.array([lo - 10.0, lo - 0.5, lo - 1e-3, hi + 1e-3, hi + 0.5, hi + 10.0])
+            s = _scaled(h)
+            expected = recurrence_pivots(h, xs) * s.factor
+            table = _pivots(s, xs * s.factor)
+            assert table.shape == (h.size, xs.size)
+            assert (np.abs(table - expected) <= 1e-12 * np.abs(expected)).all()
+
+    def test_signs_match_the_recurrence_between_eigenvalues(self):
+        rng = random.Random(73)
+        for _ in range(30):
+            h = random_jacobi(rng, rng.randint(2, 16))
+            eigs = np.linalg.eigvalsh(h.dense())
+            xs = 0.5 * (eigs[1:] + eigs[:-1])
+            s = _scaled(h)
+            table = _pivots(s, xs * s.factor)
+            assert (np.sign(table) == np.sign(recurrence_pivots(h, xs))).all()
+            # Sylvester: one more negative pivot past each eigenvalue
+            assert (table < 0).sum(axis=0).tolist() == list(range(1, h.size))
+
+    def test_mirrored_table_is_the_table_of_the_reversed_chain(self):
+        rng = random.Random(79)
+        for _ in range(30):
+            h = random_jacobi(rng, rng.randint(1, 16))
+            s = _scaled(h)
+            reversed_chain = _scaled(JacobiMatrix(h.diag[::-1], h.offdiag[::-1]))
+            xs = np.array([rng.uniform(-6.0, 6.0) for _ in range(40)]) * s.factor
+            assert s.mirrored() == reversed_chain
+            assert _pivots(s.mirrored(), xs).tobytes() == _pivots(reversed_chain, xs).tobytes()
 
 
 def _keys(x) -> np.ndarray:

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +97,14 @@ class TestVerify:
         assert cert.T == pytest.approx(math.pi / 2 * 1e-308, rel=1e-12)
         assert check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, 1e-8)
         assert fidelity(h, cert.T) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [eigenvalues, verify_pst, lambda h: evolve(h, (0.0,))])
+    def test_eigenvalue_past_the_largest_double_is_out_of_range(self, call):
+        # the lowest eigenvalue is -2e308: its bracket ended at -inf, which was
+        # returned and then rejected by Spectrum with an untyped ValueError
+        with pytest.raises(OutOfRange, match="eigenvalue 0 lies past the largest double"):
+            call(JacobiMatrix((-1e308, -1e308), (1e308,)))
 
     def test_even_gap_multiple_has_no_odd_scaling(self):
         # spectrum {-1, 0, 2}: gaps 1 and 2, so T would need an even pi multiple
@@ -269,6 +278,7 @@ def equally_spaced(n: int) -> Spectrum:
 
 
 DELTA_12 = 1e-8 * 5.5  # the certificate's half-width for equally_spaced(12)
+MAX_DOUBLE = sys.float_info.max
 
 
 class TestDesignCertificate:
@@ -306,8 +316,9 @@ class TestDesignCertificate:
             design_persymmetric(equally_spaced(12))
 
     def test_eigenvalue_moved_within_delta_passes(self, monkeypatch):
+        # the certificate counts mu = lambda / 8 at mu_k -+ delta / 8
         count = pst_module._count_less
-        monkeypatch.setattr(pst_module, "_count_less", lambda s, x: count(s, np.asarray(x) + 0.5 * DELTA_12))
+        monkeypatch.setattr(pst_module, "_count_less", lambda s, x: count(s, np.asarray(x) + 0.5 * DELTA_12 / 8))
         design_persymmetric(equally_spaced(12))
 
     @pytest.mark.parametrize("row, change", [(0, 1), (1, -1)])
@@ -352,6 +363,17 @@ class TestDesignScale:
         scale = max(abs(lam) for lam in lams)
         assert is_persymmetric(h, 1e-10 * scale)
         assert np.abs(np.asarray(eigenvalues(h).eigenvalues) - lams).max() <= 1e-8 * scale
+
+    @pytest.mark.parametrize("lams", [(-MAX_DOUBLE, MAX_DOUBLE), (-MAX_DOUBLE, 0.0, MAX_DOUBLE)])
+    def test_spectrum_at_the_largest_double(self, lams):
+        # the certificate shifts lambda_k -+ delta overflowed; mu_k -+ delta / 2^e
+        # cannot.  The end eigenvalue of the designed chain may round past the
+        # largest double, so the spectrum is checked on the chain times 1/4 (exact).
+        h = design_persymmetric(Spectrum(lams, 1e296))
+        assert is_persymmetric(h, 1e-10 * MAX_DOUBLE)
+        quarter = JacobiMatrix([a / 4 for a in h.diag], [b / 4 for b in h.offdiag])
+        found = np.asarray(eigenvalues(quarter).eigenvalues)
+        assert np.abs(found - np.asarray(lams) / 4).max() <= 1e-8 * MAX_DOUBLE / 4
 
     @pytest.mark.parametrize("seed", range(12))
     def test_power_of_two_equivariance(self, seed):

@@ -167,8 +167,12 @@ def truncate_first(H: JacobiMatrix) -> JacobiMatrix:
 def gershgorin_interval(H: JacobiMatrix) -> tuple[float, float]:
     """Closed interval guaranteed to contain every eigenvalue (row-sum bound);
     max(|lo|, |hi|) is ||H||_inf.  `_scaled` keeps it for the scaled matrix."""
-    s = _scaled(H)
-    return s.lo / s.factor, s.hi / s.factor
+    return _gershgorin(H.diag, H.offdiag)
+
+
+def _gershgorin(diag, offdiag) -> tuple[float, float]:
+    radius = [left + right for left, right in zip([0.0, *offdiag], [*offdiag, 0.0])]
+    return min(a - r for a, r in zip(diag, radius)), max(a + r for a, r in zip(diag, radius))
 
 
 class _Scaled(NamedTuple):
@@ -207,10 +211,7 @@ def _scaled(H: JacobiMatrix) -> _Scaled:
     offdiag = [b * factor for b in H.offdiag]
     coupling_sq = [b * b for b in offdiag]
     pivmin = sys.float_info.min * max([1.0, *coupling_sq])
-    radius = [left + right for left, right in zip([0.0, *offdiag], [*offdiag, 0.0])]
-    lo = min(a - r for a, r in zip(diag, radius))
-    hi = max(a + r for a, r in zip(diag, radius))
-    return _Scaled(diag, offdiag, coupling_sq, pivmin, factor, lo, hi)
+    return _Scaled(diag, offdiag, coupling_sq, pivmin, factor, *_gershgorin(diag, offdiag))
 
 
 def _pivots(s: _Scaled, shifts: np.ndarray) -> np.ndarray:
@@ -235,10 +236,11 @@ def _pivots(s: _Scaled, shifts: np.ndarray) -> np.ndarray:
 
 def _count_less(s: _Scaled, shifts) -> np.ndarray:
     """Number of eigenvalues below each shift, an array of any shape: by
-    Sylvester's law of inertia, the number of negative pivots of H - xI."""
+    Sylvester's law of inertia, the number of negative pivots of H - xI,
+    counted in column blocks of the table of about 2^22 pivots at most."""
     shifts = np.asarray(shifts, dtype=float)
-    negative = _pivots(s, shifts.ravel() * s.factor) < 0
-    return negative.sum(axis=0).reshape(shifts.shape)
+    blocks = np.array_split(shifts.ravel() * s.factor, max(1, -(-shifts.size * len(s.diag) // 2**22)))
+    return np.concatenate([(_pivots(s, x) < 0).sum(axis=0) for x in blocks]).reshape(shifts.shape)
 
 
 def _to_keys(x) -> np.ndarray:

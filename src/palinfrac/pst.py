@@ -302,8 +302,7 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     if not is_persymmetric(designed, 1e-10 * scale):
         raise InternalCheckFailed("designed matrix failed its persymmetry contract")
     delta = 1e-8 * scale
-    d = math.ldexp(delta, -e)
-    below, above = _count_less(_scaled(JacobiMatrix(diag, off)), (mus - d, mus + d))
+    below, above = _count_less(_scaled(JacobiMatrix(diag, off)), mus + np.ldexp([[-delta], [delta]], -e))
     index = np.arange(n)
     missed = np.flatnonzero((below > index) | (above <= index))
     if missed.size:

@@ -266,6 +266,20 @@ class TestEigenvalues:
             eigs = np.linalg.eigvalsh(h.dense())
             assert lo - 1e-12 <= eigs.min() and eigs.max() <= hi + 1e-12
 
+    def test_gershgorin_keeps_entries_far_below_the_largest(self):
+        # scaling 2^1000 into [1, 2) flushes 2^-1070 to zero: the interval is
+        # taken of H itself, where the eigenvalue near -2^-1070 stays inside
+        h = JacobiMatrix((2.0**1000, -(2.0**-1070)), (2.0**-1070,))
+        assert gershgorin_interval(h) == (-(2.0**-1069), 2.0**1000)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_matrix(self):
+        # the scale factor 2^1074 overflowed; it is capped at 2^1023
+        h = JacobiMatrix((1e-310, 0.0), (1e-310,))
+        assert gershgorin_interval(h) == (-1e-310, 2e-310)
+        expected = (0.5 * (1 - math.sqrt(5)) * 1e-310, 0.5 * (1 + math.sqrt(5)) * 1e-310)
+        assert eigenvalues(h, tol=1e-311).eigenvalues == pytest.approx(expected, rel=1e-12)
+
 
 def recurrence_pivots(h: JacobiMatrix, xs) -> np.ndarray:
     """-b_k p_{k+1}(x) / p_k(x), b_N = 1, from the normalized three-term
@@ -316,6 +330,22 @@ class TestPivotTable:
             xs = np.array([rng.uniform(-6.0, 6.0) for _ in range(40)]) * s.factor
             assert s.mirrored() == reversed_chain
             assert _pivots(s.mirrored(), xs).tobytes() == _pivots(reversed_chain, xs).tobytes()
+
+    def test_count_walks_tables_of_at_most_2_to_the_22_pivots(self, monkeypatch):
+        # 1100 sites x 7700 shifts make three column blocks; the counts are
+        # those of the dense solver's eigenvalues
+        h = random_jacobi(random.Random(83), 1100, min_gap=0.0)
+        shifts = np.linspace(-6.0, 6.0, 7700)
+        sizes = []
+
+        def recording(s, x):
+            sizes.append(x.size)
+            return _pivots(s, x)
+
+        monkeypatch.setattr(jacobi_module, "_pivots", recording)
+        counts = _count_less(_scaled(h), shifts)
+        assert counts.tolist() == np.searchsorted(np.linalg.eigvalsh(h.dense()), shifts).tolist()
+        assert len(sizes) == 3 and sum(sizes) == 7700 and max(sizes) * h.size <= 2**22 + h.size
 
 
 def _keys(x) -> np.ndarray:

@@ -278,6 +278,7 @@ def equally_spaced(n: int) -> Spectrum:
 
 
 DELTA_12 = 1e-8 * 5.5  # the certificate's half-width for equally_spaced(12)
+MU_12 = 2.0 ** math.frexp(5.5)[1]  # 8: the certificate counts mu = lambda / 8 at mu_k -+ delta / 8
 MAX_DOUBLE = sys.float_info.max
 
 
@@ -303,12 +304,12 @@ class TestDesignCertificate:
     @pytest.mark.parametrize("k", [0, 5, 11])
     @pytest.mark.parametrize("move", [-3.0, 3.0])
     def test_moved_eigenvalue_is_caught_at_its_index(self, k, move, monkeypatch):
-        # shifting both counts of lambda_k certifies lambda_k + move * delta instead
+        # shifting both counts of mu_k by move * delta / 8 certifies lambda_k + move * delta instead
         count = pst_module._count_less
 
         def moved(s, shifts):
             shifts = np.array(shifts)
-            shifts[:, k] += move * DELTA_12
+            shifts[:, k] += move * DELTA_12 / MU_12
             return count(s, shifts)
 
         monkeypatch.setattr(pst_module, "_count_less", moved)
@@ -316,9 +317,8 @@ class TestDesignCertificate:
             design_persymmetric(equally_spaced(12))
 
     def test_eigenvalue_moved_within_delta_passes(self, monkeypatch):
-        # the certificate counts mu = lambda / 8 at mu_k -+ delta / 8
         count = pst_module._count_less
-        monkeypatch.setattr(pst_module, "_count_less", lambda s, x: count(s, np.asarray(x) + 0.5 * DELTA_12 / 8))
+        monkeypatch.setattr(pst_module, "_count_less", lambda s, x: count(s, np.asarray(x) + 0.5 * DELTA_12 / MU_12))
         design_persymmetric(equally_spaced(12))
 
     @pytest.mark.parametrize("row, change", [(0, 1), (1, -1)])
@@ -335,12 +335,12 @@ class TestDesignCertificate:
             design_persymmetric(equally_spaced(12))
 
     def test_perturbed_design_is_caught(self, monkeypatch):
-        # the diagonal raised by 3 delta keeps the chain persymmetric and moves
-        # every eigenvalue by 3 delta; the first index fails
+        # the mu-chain's diagonal raised by 3 delta / 8 keeps the chain persymmetric
+        # and moves every eigenvalue by 3 delta in lambda; the first index fails
         scaled = pst_module._scaled
 
         def perturbed(h):
-            return scaled(JacobiMatrix([a + 3 * DELTA_12 for a in h.diag], h.offdiag))
+            return scaled(JacobiMatrix([a + 3 * DELTA_12 / MU_12 for a in h.diag], h.offdiag))
 
         monkeypatch.setattr(pst_module, "_scaled", perturbed)
         with pytest.raises(InternalCheckFailed, match="at eigenvalue 0:"):

@@ -51,13 +51,14 @@ def _emit(payload) -> None:
 
 def _load(path: str, what: str, build):
     """build(data) for the JSON value in path; an unreadable file or a bad
-    value, a number too large for a float too, is a usage error naming path."""
+    value, a number too large for a float or arrays nested past the
+    interpreter's recursion limit too, is a usage error naming path."""
     try:
         with open(path, encoding="utf-8") as handle:
             return build(json.load(handle))
     except OSError as exc:
         raise click.UsageError(f"cannot read {path}: {exc}")
-    except (ValueError, TypeError, KeyError, OverflowError, ZeroDivisionError) as exc:  # bad JSON too
+    except (ValueError, TypeError, KeyError, OverflowError, ZeroDivisionError, RecursionError) as exc:  # bad JSON too
         raise click.UsageError(f"{path}: bad {what}: {exc}")
 
 

@@ -24,6 +24,15 @@ recurrence itself instead of delegating to a dense solver.  With the table
 of the mirrored matrix read bottom-up, the pivots give twisted
 factorizations and with them every eigenvector in O(N) (Dhillon & Parlett).
 
+A persymmetric matrix folds (`_Fold`): its spectrum is that of two half
+chains, S for the symmetric eigenvectors and A for the antisymmetric ones,
+which alternate from the top down.  The halves share every pivot row but
+one, so a folded count (`_count_folded`) tabulates about N / 2 rows for
+the shifts of both and adds one fold row; the multisection runs unchanged
+on it, each bracket counting in its own half.  The private folded solvers
+serve the state-transfer layer; `eigenvalues` itself always counts the
+whole matrix, bit-identical to bisection.
+
 Everything in this module runs in 64-bit floating point; exact rationals
 enter only through the explicit conversion in `from_jfraction`.
 """
@@ -236,11 +245,82 @@ def _pivots(s: _Scaled, shifts: np.ndarray) -> np.ndarray:
 
 def _count_less(s: _Scaled, shifts) -> np.ndarray:
     """Number of eigenvalues below each shift, an array of any shape: by
-    Sylvester's law of inertia, the number of negative pivots of H - xI,
-    counted in column blocks of the table of about 2^22 pivots at most."""
+    Sylvester's law of inertia, the number of negative pivots of H - xI."""
     shifts = np.asarray(shifts, dtype=float)
-    blocks = np.array_split(shifts.ravel() * s.factor, max(1, -(-shifts.size * len(s.diag) // 2**22)))
-    return np.concatenate([(_pivots(s, x) < 0).sum(axis=0) for x in blocks]).reshape(shifts.shape)
+    return _in_blocks(len(s.diag), lambda x: (_pivots(s, x) < 0).sum(axis=0), shifts * s.factor)
+
+
+def _in_blocks(rows: int, count, *columns: np.ndarray) -> np.ndarray:
+    """count(*columns), an array in the shape of the first column array,
+    for a pivot table of `rows` rows per column; past about 2^22 pivots the
+    arrays, broadcast to that shape, are raveled and counted in blocks."""
+    shape = columns[0].shape
+    parts = -(-columns[0].size * rows // 2**22)
+    if parts <= 1:  # a 0-d shift would make the rows of the table scalars, not views
+        return count(*map(np.atleast_1d, columns)).reshape(shape)
+    split = (np.array_split(np.broadcast_to(c, shape).ravel(), parts) for c in columns)
+    return np.concatenate([count(*block) for block in zip(*split)]).reshape(shape)
+
+
+class _Fold(NamedTuple):
+    """A persymmetric H of n >= 2 sites folded at its mirror, scaled as H is.
+
+    Its eigenvectors are symmetric or antisymmetric, v = (u, +-Ju) / sqrt(2),
+    and u is an eigenvector of the symmetric or antisymmetric half chain
+    (Cantoni & Butler 1976).  For n = 2m both halves are the leading m x m
+    block of H, with a_{m-1} + b_{m-1} (S) or a_{m-1} - b_{m-1} (A) on its
+    last site.  For n = 2m + 1, S is the leading (m+1) x (m+1) block with
+    b_{m-1} replaced by sqrt(2) b_{m-1} (the middle entry of v is that of u,
+    unscaled), and A is the leading m x m block.  Both halves share every
+    pivot row but the last row of S, the fold row; `ends` holds the
+    diagonal entry of the fold row in S and in A, +inf (a row that counts
+    nothing) for odd n, where A ends before it.
+    """
+
+    symmetric: _Scaled
+    antisymmetric: _Scaled
+    shared: _Scaled
+    ends: tuple[float, float]
+
+
+def _fold(s: _Scaled) -> _Fold:
+    """The fold of the scaled form s of a persymmetric H of two or more
+    sites.  The halves keep the pivot guard of H, under which 2 b^2 / pivmin
+    still lies below the largest double."""
+    n, m = len(s.diag), len(s.diag) // 2
+
+    def half(diag, offdiag, coupling_sq) -> _Scaled:
+        return _Scaled(diag, offdiag, coupling_sq, s.pivmin, s.factor, *_gershgorin(diag, offdiag))
+
+    offdiag, coupling_sq = s.offdiag[: m - 1], s.coupling_sq[: m - 1]
+    middle = s.offdiag[m - 1]  # b_{m-1}
+    if n % 2:
+        S = half(s.diag[: m + 1], [*offdiag, math.sqrt(2) * middle], [*coupling_sq, 2 * s.coupling_sq[m - 1]])
+        A = half(s.diag[:m], offdiag, coupling_sq)
+        ends = (S.diag[-1], math.inf)
+    else:
+        ends = (s.diag[m - 1] + middle, s.diag[m - 1] - middle)
+        S, A = (half([*s.diag[: m - 1], end], offdiag, coupling_sq) for end in ends)
+    # only `_pivots` reads the shared rows, so the Gershgorin ends of S may stay
+    shared = S._replace(diag=S.diag[:-1], offdiag=S.offdiag[:-1], coupling_sq=S.coupling_sq[:-1])
+    return _Fold(S, A, shared, ends)
+
+
+def _count_folded(f: _Fold, shifts, symmetric) -> np.ndarray:
+    """Eigenvalues of S (where symmetric holds) or of A below each shift:
+    the negative pivots of one table of the shared rows, for both halves at
+    once, plus that of the fold row of each.  symmetric broadcasts to the
+    shape of shifts."""
+
+    def count(x, sym):
+        table = _pivots(f.shared, x)
+        fold = np.where(sym, *f.ends) - x
+        if len(table):  # the b^2 into the fold row is that of S, for A too when it has the row
+            fold -= f.symmetric.coupling_sq[-1] / table[-1]
+        return (table < 0).sum(axis=0) + (fold < f.shared.pivmin)  # the guard of `_pivots`
+
+    shifts = np.asarray(shifts, dtype=float)
+    return _in_blocks(len(f.symmetric.diag), count, shifts * f.shared.factor, symmetric)
 
 
 def _to_keys(x) -> np.ndarray:
@@ -275,15 +355,37 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     when ``tol`` exceeds the best possible eigenvalue gap or any computed
     gap fails it, and OutOfRange for an eigenvalue past the largest double.
     """
-    n = H.size
     s = _scaled(H)
+    return _multisection(s, tol, np.arange(H.size), lambda x: _count_less(s, x))
+
+
+def _folded_eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
+    """`eigenvalues` of a persymmetric H of two or more sites, solved on
+    its two half chains (`_Fold`).  The kinds alternate and the top
+    eigenvector is symmetric, so eigenvalue k of H is eigenvalue k // 2 of
+    S when n - 1 - k is even and of A otherwise; its bracket counts in that
+    half alone.  The results agree with those of `eigenvalues` to a few
+    ulps of max(1, ||H||_inf), as the halves round differently."""
+    s = _scaled(H)
+    fold = _fold(s)
+    index = np.arange(H.size)
+    symmetric = ((H.size - 1 - index) % 2 == 0)[:, None]
+    return _multisection(s, tol, index // 2, lambda x: _count_folded(fold, x, symmetric))
+
+
+def _multisection(s: _Scaled, tol: float | None, index: np.ndarray, count) -> Spectrum:
+    """The multisection of `eigenvalues` on the scaled matrix s: bracket k
+    holds the eigenvalue that count(x)[k] passes index[k] at, where count
+    maps an N x K array of shifts (row k those of bracket k) to the counts
+    that bracket reads."""
+    n = index.size
     scale = max(s.factor, s.norm)  # max(1, ||H||_inf), scaled
     if tol is None:
         tol = 1e-12 * scale / s.factor
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if n == 1:
-        return Spectrum((H.diag[0],), tol)
+        return Spectrum((s.diag[0] / s.factor,), tol)
     best_gap = (s.hi - s.lo) / (n - 1) / s.factor
     if tol >= best_gap:
         raise ToleranceTooLoose(
@@ -297,14 +399,14 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     # through the subnormals towards an eigenvalue 0 that a bracket end
     # hits exactly.  A bracket across 0 holds more than 2^63 doubles, so
     # key widths and offsets are unsigned.
-    # invariant: count_less at lower[k] <= k < count_less at upper[k]
+    # invariant: count at lower[k] <= index[k] < count at upper[k]
     # (NumPy 1.x turns uint64 mixed with int64 into float64: no mixing.)
     b = max(1, min(6, (1024 // n + 1).bit_length() - 1))
     shift, low_bits = np.uint64(b), np.uint64(2**b - 1)
     j = np.arange(1, 2**b, dtype=np.uint64)
     lower = np.full(n, _to_keys((s.lo - pad) / s.factor))  # +-inf past the largest double
     upper = np.full(n, _to_keys((s.hi + pad) / s.factor))
-    index = np.arange(n)
+    rows = np.arange(n)
     upper_above = np.ones((n, 1), dtype=bool)  # the upper end lies above its index
     while True:
         width = upper.view(np.uint64) - lower.view(np.uint64)
@@ -313,10 +415,10 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
         # floor(width * j / 2^b), without overflow
         offsets = (width >> shift)[:, None] * j + (((width & low_bits)[:, None] * j) >> shift)
         keys = (lower.view(np.uint64)[:, None] + offsets).view(np.int64)
-        above = _count_less(s, _from_keys(keys)) > index[:, None]
+        above = count(_from_keys(keys)) > index[:, None]
         flip = np.hstack((above, upper_above)).argmax(axis=1)  # first point above its index
         ends = np.column_stack((lower, keys, upper))
-        lower, upper = ends[index, flip], ends[index, flip + 1]
+        lower, upper = ends[rows, flip], ends[rows, flip + 1]
     # 0.5 * (lower + upper) of two adjacent doubles rounds to the end with the
     # even key (ties to even); picking it directly cannot overflow
     found = _from_keys(np.where(lower & 1, upper, lower))
@@ -346,7 +448,11 @@ def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:
     lams = np.asarray(tuple(lams), dtype=float)
     if not np.isfinite(lams).all():
         raise ValueError("eigenvectors needs finite eigenvalues")
-    s = _scaled(H)
+    return _eigenvectors(_scaled(H), lams)
+
+
+def _eigenvectors(s: _Scaled, lams: np.ndarray) -> np.ndarray:
+    """`eigenvectors` of the matrix of the scaled form s at the finite lams."""
     bound = 1e-8 * s.norm  # 1e-8 * ||H||_inf, scaled
     outside = (lams < (s.lo - bound) / s.factor) | (lams > (s.hi + bound) / s.factor)
     if outside.any():
@@ -355,7 +461,7 @@ def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:
             "outside the Gershgorin interval"
         )
     lams = lams * s.factor
-    n = H.size
+    n = len(s.diag)
     if not lams.size:
         return np.zeros((n, 0))
     forward = _pivots(s, lams)
@@ -383,6 +489,28 @@ def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:
         raise NotAnEigenvalue(
             f"residual {worst / s.factor:.3e} exceeds 1e-8 * ||H|| = {bound / s.factor:.3e}"
         )
+    return vectors
+
+
+def _folded_eigenvectors(H: JacobiMatrix, lams) -> np.ndarray:
+    """`eigenvectors` of a persymmetric H of two or more sites at all its
+    eigenvalues lams, ascending: those of its half chains S and A
+    (`_Fold`), each with its own residual check, unfolded to
+    (u, +-Ju) / sqrt(2).  A symmetric and an antisymmetric vector are
+    orthogonal by construction, however close their eigenvalues."""
+    n, m = H.size, H.size // 2
+    fold = _fold(_scaled(H))
+    lams = np.asarray(lams, dtype=float)
+    symmetric, antisymmetric = slice((n - 1) % 2, n, 2), slice(n % 2, n, 2)
+    u = _eigenvectors(fold.symmetric, lams[symmetric])
+    w = _eigenvectors(fold.antisymmetric, lams[antisymmetric])
+    vectors = np.zeros((n, lams.size))
+    vectors[:m, symmetric] = u[:m] / math.sqrt(2)
+    vectors[n - m :, symmetric] = u[m - 1 :: -1] / math.sqrt(2)
+    vectors[:m, antisymmetric] = w / math.sqrt(2)
+    vectors[n - m :, antisymmetric] = w[::-1] / -math.sqrt(2)
+    if n % 2:
+        vectors[m, symmetric] = u[m]
     return vectors
 
 

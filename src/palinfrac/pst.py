@@ -14,18 +14,30 @@ returns the minimal admissible T together with phi normalized into
 [0, 2 pi).  The spectrum is recomputed from H, and the certificate is
 checked against the phase condition before it is returned.
 
-`design_persymmetric` inverts the problem: given a prescribed spectrum it
-forms the spectral weights w_k^2 proportional to
-1 / prod_{j != k} |lambda_k - lambda_j| (summed as logarithms, so the
-product cannot overflow, and normalized to sum 1) and runs a
-fully reorthogonalized Lanczos pass on the diagonal eigenvalue matrix
-started from the weight vector, reading the chain off the recurrence
-coefficients.  The weight formula is not taken on faith: the construction
-validates its own contract before returning, persymmetry entry by entry
-and the spectrum by a two-count certificate, one pivot count at every
-lambda_k - delta and lambda_k + delta, with no bisection.  Both the
-construction and the count run on the spectrum scaled by a power of 2
-into (-1, 1), so neither can overflow.
+A chain that is mirrored exactly (`is_persymmetric(H, 0.0)`, two or more
+sites) folds: its eigenvectors are symmetric or antisymmetric, and each
+kind is that of a half chain, S or A, of about N / 2 sites (Cantoni &
+Butler 1976; `jacobi._Fold`).  `verify_pst` and `evolve` then count the
+eigenvalues of both halves in one pivot table of half the rows, and
+`evolve` unfolds the eigenvectors of the halves, so a symmetric and an
+antisymmetric vector are orthogonal however close their eigenvalues lie.
+Any other chain, one mirrored only within a tolerance too, is solved whole.
+
+`design_persymmetric` inverts the problem on the half: given a prescribed
+spectrum it splits it into the eigenvalues of S (the top one, and every
+second one below it) and of A, forms the weights of S at its mirror-end
+site, w_j^2 proportional to |P_A(mu_j)| / |P_S'(mu_j)| over the
+eigenvalues mu_j of S (summed as logarithms, so the products cannot
+overflow, and normalized to sum 1), and runs a fully reorthogonalized
+Lanczos pass on the diagonal matrix of the mu_j started from the weight
+vector.  The recurrence coefficients are S read from the mirror outwards;
+reversed and unfolded they give a chain mirrored exactly.  The
+construction is not taken on faith: it validates its own contract before
+returning, persymmetry entry by entry and the spectrum of the whole chain
+by a two-count certificate, one pivot count at every lambda_k - delta and
+lambda_k + delta, with no bisection.  Both the construction and the count
+run on the spectrum scaled by a power of 2 into (-1, 1), so neither can
+overflow.
 """
 
 from __future__ import annotations
@@ -49,6 +61,8 @@ from .jacobi import (
     JacobiMatrix,
     Spectrum,
     _count_less,
+    _folded_eigenvalues,
+    _folded_eigenvectors,
     _scaled,
     eigenvalues,
     eigenvectors,
@@ -137,13 +151,21 @@ def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     reach = max(map(abs, times), default=0.0) / s.factor * s.norm
     if reach > 2.0**53:
         raise OutOfRange(f"max |t| * ||H|| = {reach:.3e} exceeds 2^53: phases lost to rounding")
-    lams = np.asarray(eigenvalues(H).eigenvalues)
-    basis = eigenvectors(H, lams)
+    solve, vectors = (_folded_eigenvalues, _folded_eigenvectors) if _folds(H) else (eigenvalues, eigenvectors)
+    lams = np.asarray(solve(H).eigenvalues)
+    basis = vectors(H, lams)
     amplitudes = (np.exp(1j * np.multiply.outer(times, lams)) * basis[0]) @ basis.T
     try:
         return AmplitudeTrace(times, amplitudes)
-    except ValueError as exc:  # eigenvectors of close eigenvalue pairs are not reorthogonalized
+    except ValueError as exc:  # eigenvectors of close eigenvalue pairs of a chain that does not fold
         raise InternalCheckFailed(f"evolve: {exc}") from exc
+
+
+def _folds(H: JacobiMatrix) -> bool:
+    """Whether H is an exact mirror of two or more sites, solved on its two
+    half chains; any other chain, one mirrored only within a tolerance
+    too, takes the full path."""
+    return H.size > 1 and is_persymmetric(H, 0.0)
 
 
 def fidelity(H: JacobiMatrix, t: float) -> float:
@@ -208,7 +230,7 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
     sym_tol = tol * max(s.factor, s.norm) / s.factor  # tol * max(1, ||H||_inf)
     if not is_persymmetric(H, sym_tol):
         raise NotPersymmetric(f"matrix is not mirror symmetric within {sym_tol:.3e}")
-    spectrum = eigenvalues(H)
+    spectrum = (_folded_eigenvalues if _folds(H) else eigenvalues)(H)
     lams = spectrum.eigenvalues
     top = len(lams) - 1
     if top == 0:
@@ -240,16 +262,26 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
 def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     """Persymmetric Jacobi matrix with the prescribed eigenvalues.
 
-    Spectral weights w_k^2 proportional to 1 / prod_{j != k}
-    |lambda_k - lambda_j| define the discrete measure of the mirror
-    symmetric chain; a fully reorthogonalized Lanczos pass on
-    diag(lambda) started from the weight vector reads off the recurrence
-    coefficients.  Both run on mu = lambda / 2^e, 2^e the power of 2 that
-    brings max(1, max |lambda|) into [1/2, 1), and the chain is multiplied
-    by 2^e at the end, so a spectrum spread near the largest double cannot
-    overflow.  The result is validated against the contract (persymmetry
-    within 1e-10, eigenvalues within delta = 1e-8, both scaled by
-    max(1, max |lambda|)); InternalCheckFailed names the first index that fails.
+    The chain is designed on its symmetric half S (`jacobi._Fold`), whose
+    eigenvalues are lambda_top, lambda_top-2, ...; the others are those of
+    the antisymmetric half A (Hochstadt 1974; Hald 1976).  Spectral weights
+    w_j^2 proportional to |P_A(lambda_j)| / |P_S'(lambda_j)| over the
+    eigenvalues lambda_j of S define the discrete measure of S at its
+    mirror-end site, and a fully reorthogonalized Lanczos pass on the
+    diagonal matrix of those eigenvalues started from the weight vector
+    reads S off the recurrence coefficients, from the mirror outwards.
+    Reversed, S unfolds into the chain, mirrored exactly: for even N the
+    middle coupling is b = (trace S - trace A) / 2, which the two sites it
+    joins lose from their diagonal; for odd N the last coupling of S is
+    sqrt(2) times that of the chain.  The weights of the half span a few
+    nats, where those of the whole chain at its end site span hundreds and
+    underflow from N ~ 1000 on.  All of it runs on mu = lambda / 2^e, 2^e
+    the power of 2 that brings max(1, max |lambda|) into [1/2, 1), and the
+    chain is multiplied by 2^e at the end, so a spectrum spread near the
+    largest double cannot overflow.  The result is validated against the
+    contract (persymmetry within 1e-10, eigenvalues within delta = 1e-8,
+    both scaled by max(1, max |lambda|)); InternalCheckFailed names the
+    first index that fails.
 
     The eigenvalues are certified, not recomputed: one Sturm count of the
     mu-chain (`_scaled` gives it the pivots of the returned chain) at the
@@ -270,26 +302,32 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     if float(np.diff(mus).min()) <= 1e-14:
         raise DegenerateSpectrum("eigenvalues too close to resolve the weight formula")
 
-    # log-space: the products overflow from N ~ 170 on (equally spaced spectrum)
-    log_weights = np.array([-np.log(np.abs(mus[k] - np.delete(mus, k))).sum() for k in range(n)])
+    # the eigenvalues of S and of A, and the weights of S at its mirror-end
+    # site, w_j^2 ~ |P_A(mu_j)| / |P_S'(mu_j)|, summed as logarithms
+    sym, anti = mus[(n - 1) % 2 :: 2], mus[n % 2 :: 2]
+    log_weights = np.array(
+        [np.log(np.abs(mu - anti)).sum() - np.log(np.abs(mu - np.delete(sym, j))).sum()
+         for j, mu in enumerate(sym)]
+    )
     weights_sq = np.exp(log_weights - log_weights.max())
     weights_sq /= weights_sq.sum()
     start = np.sqrt(weights_sq)
 
-    basis = np.zeros((n, n))
+    size = sym.size
+    basis = np.zeros((size, size))
     basis[:, 0] = start
-    diag = np.empty(n)
-    off = np.empty(n - 1)
+    diag = np.empty(size)
+    off = np.empty(size - 1)
     vector = start
-    for j in range(n):
-        work = mus * vector
+    for j in range(size):
+        work = sym * vector
         diag[j] = float(vector @ work)
         work = work - diag[j] * vector
         if j > 0:
             work = work - off[j - 1] * basis[:, j - 1]
         for _ in range(2):  # full reorthogonalization, applied twice
             work = work - basis[:, : j + 1] @ (basis[:, : j + 1].T @ work)
-        if j == n - 1:
+        if j == size - 1:
             break
         norm = float(np.linalg.norm(work))
         if norm <= 1e-13:
@@ -298,6 +336,15 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
         vector = work / norm
         basis[:, j + 1] = vector
 
+    # unfold S, reversed to run from site 0 to the mirror, into the whole chain
+    diag, off = diag[::-1].copy(), off[::-1].copy()
+    if n % 2:  # S couples the middle site by sqrt(2) b_{m-1}
+        off[-1] /= math.sqrt(2)
+        diag, off = np.concatenate((diag, diag[-2::-1])), np.concatenate((off, off[::-1]))
+    else:  # S ends on a_{m-1} + b_{m-1}, and trace S - trace A = 2 b_{m-1}
+        middle = float((sym - anti).sum()) / 2
+        diag[-1] -= middle
+        diag, off = np.concatenate((diag, diag[::-1])), np.concatenate((off, [middle], off[::-1]))
     designed = JacobiMatrix(np.ldexp(diag, e), np.ldexp(off, e))
     if not is_persymmetric(designed, 1e-10 * scale):
         raise InternalCheckFailed("designed matrix failed its persymmetry contract")

@@ -106,6 +106,16 @@ def random_persymmetric(rng: random.Random, size: int, min_gap: float = 1e-3) ->
             return matrix
 
 
+def random_mirror(rng: random.Random, size: int) -> JacobiMatrix:
+    """Exact mirror: a diagonal in [-0.5, 0.5] and the Krawtchouk couplings
+    stretched by up to 20%, each half drawn once and reflected.  Unlike
+    `random_persymmetric` it needs no rejection at any size: its end
+    eigenvalue pairs stay apart."""
+    half_d = [rng.uniform(-0.5, 0.5) for _ in range((size + 1) // 2)]
+    half_b = [math.sqrt((k + 1) * (size - k - 1)) / 2 * rng.uniform(0.8, 1.2) for k in range(size // 2)]
+    return JacobiMatrix(half_d + half_d[: size // 2][::-1], half_b + half_b[: (size - 1) // 2][::-1])
+
+
 def krawtchouk(n: int) -> JacobiMatrix:
     """Closed-form chain b_k = sqrt((k+1)(n-k-1))/2: spectrum k - (n-1)/2,
     perfect transfer at T = pi, first eigenvector components squared

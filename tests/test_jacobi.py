@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import palinfrac.jacobi as jacobi_module
-from genutil import krawtchouk, random_jacobi, wilkinson
+from genutil import krawtchouk, random_jacobi, random_mirror, wilkinson
 from palinfrac.errors import (
     DegenerateSpectrum,
     NotAnEigenvalue,
@@ -17,7 +17,11 @@ from palinfrac.errors import (
 from palinfrac.jacobi import (
     JacobiMatrix,
     Spectrum,
+    _count_folded,
     _count_less,
+    _fold,
+    _folded_eigenvalues,
+    _folded_eigenvectors,
     _pivots,
     _scaled,
     charpoly_check,
@@ -421,6 +425,72 @@ class TestMultisection:
         monkeypatch.setattr(jacobi_module, "_scaled", counting)
         eigenvalues(krawtchouk(n))
         assert len(calls) == 1
+
+
+MIRROR_SIZES = [*range(2, 66), 256]
+
+
+class TestFold:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", MIRROR_SIZES)
+    def test_folded_count_is_the_full_count(self, n):
+        # midway between the dense eigenvalues S counts the symmetric ones
+        # below, A the antisymmetric ones, and together all of them
+        h = random_mirror(random.Random(1000 + n), n)
+        assert is_persymmetric(h, 0.0)
+        dense = np.linalg.eigvalsh(h.dense())
+        shifts = np.concatenate(([dense[0] - 1], (dense[1:] + dense[:-1]) / 2, [dense[-1] + 1]))
+        s = _scaled(h)
+        halves = _count_folded(_fold(s), np.stack((shifts, shifts)), np.array([[True], [False]]))
+        assert halves.sum(axis=0).tolist() == _count_less(s, shifts).tolist() == list(range(n + 1))
+        # the kinds alternate from the top down, the top one symmetric
+        assert halves[0].tolist() == [(k + n % 2) // 2 for k in range(n + 1)]
+
+    def test_fold_row_keeps_the_pivot_guard(self):
+        # a pivot hit exactly counts as lying below, in the fold row as in `_pivots`
+        s = _scaled(JacobiMatrix((0.0, 0.0), (1.0,)))  # S = [1], A = [-1]
+        halves = _count_folded(_fold(s), [[1.0], [-1.0]], np.array([[True], [False]]))
+        assert halves.ravel().tolist() == [1, 1]
+        assert _count_less(s, [-1.0, 1.0]).tolist() == [1, 2]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", MIRROR_SIZES)
+    def test_folded_eigenvalues_match_the_full_solve(self, n):
+        h = random_mirror(random.Random(2000 + n), n)
+        lo, hi = gershgorin_interval(h)
+        bound = 8 * sys.float_info.epsilon * max(1.0, abs(lo), abs(hi))
+        full = np.asarray(eigenvalues(h).eigenvalues)
+        assert np.abs(np.asarray(_folded_eigenvalues(h).eigenvalues) - full).max() <= bound
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 256])
+    def test_unfolded_vectors_are_eigenvectors(self, n):
+        h = random_mirror(random.Random(3000 + n), n)
+        lams = np.asarray(_folded_eigenvalues(h).eigenvalues)
+        basis = _folded_eigenvectors(h, lams)
+        scale = max(1.0, float(np.abs(h.dense()).sum(axis=1).max()))
+        assert np.abs(h.dense() @ basis - basis * lams).max() <= 1e-12 * scale
+        assert np.abs(basis - eigenvectors(h, lams)).max() <= 1e-8  # the same signs: first entry > 0
+        middle = n // 2
+        mirrored = basis[::-1] * np.where((n - 1 - np.arange(n)) % 2, -1.0, 1.0)
+        assert (mirrored == basis).all()  # v = +-Jv exactly
+        if n % 2:
+            assert not basis[middle, (n % 2) :: 2].any()
+
+    def test_unfolded_krawtchouk_basis_is_orthonormal(self):
+        n = 1024
+        h = krawtchouk(n)
+        basis = _folded_eigenvectors(h, _folded_eigenvalues(h).eigenvalues)
+        assert np.linalg.norm(basis.T @ basis - np.eye(n)) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [JacobiMatrix((0.0,) * 3, (1e308, 1e308)), JacobiMatrix((1e308, 1e308), (7e307,))])
+    def test_chain_near_the_largest_double(self, h):
+        # sqrt(2) b_{m-1}, 2 b_{m-1}^2 and a_{m-1} + b_{m-1} are taken in the scaled units
+        full = np.asarray(eigenvalues(h).eigenvalues)
+        folded = np.asarray(_folded_eigenvalues(h).eigenvalues)
+        assert np.abs(folded - full).max() <= 8 * sys.float_info.epsilon * np.abs(full).max()
+        basis = _folded_eigenvectors(h, folded)
+        assert np.abs(basis.T @ basis - np.eye(h.size)).max() <= 1e-15
 
 
 class TestEigenvector:

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import palinfrac.pst as pst_module
-from genutil import krawtchouk, perturb_asymmetric, random_jacobi, random_persymmetric, wilkinson
+from genutil import krawtchouk, perturb_asymmetric, random_jacobi, random_mirror, random_persymmetric, wilkinson
 from palinfrac.errors import (
     DegenerateSpectrum,
     IncommensurableSpectrum,
@@ -16,7 +16,6 @@ from palinfrac.errors import (
     NoOddScaling,
     NotPersymmetric,
     OutOfRange,
-    PalinfracError,
 )
 from palinfrac.jacobi import (
     JacobiMatrix,
@@ -127,6 +126,32 @@ class TestVerify:
         assert cert.T == pytest.approx(math.pi, rel=1e-12)
 
 
+class TestFoldedPath:
+    @staticmethod
+    def sentinel(*args):
+        raise AssertionError("took the folded path")
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17])
+    def test_exact_mirror_folds(self, n, monkeypatch):
+        h = random_mirror(random.Random(n), n)
+        monkeypatch.setattr(pst_module, "_folded_eigenvalues", self.sentinel)
+        with pytest.raises(AssertionError, match="folded path"):
+            verify_pst(h)
+        with pytest.raises(AssertionError, match="folded path"):
+            evolve(h, (1.0,))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17])
+    def test_chain_mirrored_within_tol_takes_the_full_path(self, n, monkeypatch):
+        monkeypatch.setattr(pst_module, "_folded_eigenvalues", self.sentinel)
+        monkeypatch.setattr(pst_module, "_folded_eigenvectors", self.sentinel)
+        h = krawtchouk(n)  # a single site has no halves
+        if n > 1:  # one end site moved by 1e-15: mirrored within tol, not exactly
+            h = JacobiMatrix([1e-15, *h.diag[1:]], h.offdiag)
+            assert not is_persymmetric(h, 0.0)
+        assert verify_pst(h).T == pytest.approx(math.pi, abs=1e-10)
+        assert fidelity(h, math.pi) >= 1.0 - 1e-10
+
+
 class TestEvolve:
     def test_time_zero_is_identity(self):
         rng = random.Random(3)
@@ -163,15 +188,15 @@ class TestEvolve:
             assert np.abs(norms - 1.0).max() <= 1e-10
 
     @pytest.mark.parametrize("n", [15, 16])
-    def test_close_eigenvalue_pairs_give_unitary_trace_or_typed_error(self, n):
-        # eigenvectors of the close top pairs are orthogonal only to ~eps / gap
+    def test_close_eigenvalue_pairs_give_unitary_trace(self, n):
+        # W15 and W16 are mirrored: each close top pair is one symmetric and one
+        # antisymmetric eigenvector, orthogonal by construction on the folded path
+        h = wilkinson(n)
         for t in (1.0, 10.0):
-            try:
-                trace = evolve(wilkinson(n), (t,))
-                fidelity(wilkinson(n), t)
-            except PalinfracError:
-                continue
+            trace = evolve(h, (t,))
             assert abs(np.linalg.norm(trace.amplitudes[0]) - 1.0) <= 1e-10
+            assert np.abs(trace.amplitudes[0] - expm_amplitudes(h, t)).max() <= 1e-9
+            assert 0.0 <= fidelity(h, t) <= 1.0
 
     def test_trace_validates_unitarity(self):
         with pytest.raises(ValueError):
@@ -292,14 +317,29 @@ class TestDesignCertificate:
         h = design_persymmetric(equally_spaced(n))
         assert np.abs(np.asarray(h.offdiag) - krawtchouk(n).offdiag).max() <= 1e-9
 
-    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     def test_odd_gap_designs_match_dense_solver(self, n):
         rng = random.Random(n)
         gaps = [rng.choice((1, 3, 5)) for _ in range(n - 1)]
         lams = np.cumsum([0.0, *gaps]) - sum(gaps) / 2
         h = design_persymmetric(Spectrum(lams, 1e-9))
         scale = max(1.0, float(np.abs(lams).max()))
-        assert np.abs(np.linalg.eigvalsh(h.dense()) - lams).max() <= 1e-8 * scale
+        assert is_persymmetric(h, 0.0)
+        assert np.abs(np.linalg.eigvalsh(h.dense()) - lams).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed", range(1105, 1109))
+    def test_mirrored_odd_gap_designs_at_1024(self, seed):
+        # the end-site weights of the whole chain spanned ~750 nats, so exp
+        # underflowed and the Lanczos basis collapsed (DegenerateSpectrum);
+        # those of the half at its mirror site span about ten
+        n = 1024
+        rng = np.random.default_rng(seed)
+        half = rng.choice((1, 3, 5), size=n // 2 - 1)
+        gaps = [*half, rng.choice((1, 3, 5)), *half[::-1]]
+        lams = np.cumsum([0.0, *gaps]) - sum(gaps) / 2
+        h = design_persymmetric(Spectrum(lams, 1e-9))
+        assert is_persymmetric(h, 0.0)
+        assert np.abs(np.linalg.eigvalsh(h.dense()) - lams).max() <= 1e-12 * float(np.abs(lams).max())
 
     @pytest.mark.parametrize("k", [0, 5, 11])
     @pytest.mark.parametrize("move", [-3.0, 3.0])

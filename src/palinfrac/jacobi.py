@@ -16,11 +16,14 @@ Ratios of consecutive values are the pivots of H - xI = L D L^T,
 
 the same recurrence in a form that neither overflows nor underflows, and
 the levels of a J-fraction (`_pivots`).  One kernel tabulates them, N x M
-for M shifts at once.  By Sylvester's law of inertia the negative entries
-of a column count the eigenvalues below its shift; that count drives the
-multisection eigenvalue solver (2^b - 1 points per bracket and pass, b
-fixed by N), bit-identical to bisection, which therefore exercises the
-recurrence itself instead of delegating to a dense solver.  With the table
+for M shifts at once.  It runs the recurrence bare and repeats it under the
+pivot guard of LAPACK dstebz only on the columns where a pivot comes
+within the guard of zero; the table is bit for bit the guarded one.  By
+Sylvester's law of inertia the negative entries of a column count the
+eigenvalues below its shift; that count drives the multisection
+eigenvalue solver (2^b - 1 points per bracket and pass, b fixed by N),
+bit-identical to bisection, which therefore exercises the recurrence
+itself instead of delegating to a dense solver.  With the table
 of the mirrored matrix read bottom-up, the pivots give twisted
 factorizations and with them every eigenvector in O(N) (Dhillon & Parlett).
 
@@ -234,12 +237,31 @@ def _pivots(s: _Scaled, shifts: np.ndarray) -> np.ndarray:
     A pivot smaller in magnitude than pivmin becomes -pivmin before the
     next row reads it (the LAPACK dstebz guard), so b^2 / q never exceeds
     1 / tiny and an exact eigenvalue hit counts as lying below the shift.
+    The guard acts only on a hit, so the table is first run bare, two
+    numpy calls a row, and then the guarded recurrence runs again on the
+    columns that hold an entry in (-pivmin, pivmin), the only entries the
+    guard changes; a hit may have left inf or NaN further down its column.
+    Columns are independent, and a column without a hit goes through the
+    same floating-point operations either way, so the table is bit for bit
+    that of the guarded recurrence.
     """
+    with np.errstate(all="ignore"):  # a hit column may divide by 0; it is redone below
+        table = _recurrence(s, shifts, guard=False)
+    redo = ((table < s.pivmin) & (table > -s.pivmin)).any(axis=0)
+    if redo.any():
+        table[:, redo] = _recurrence(s, shifts[redo], guard=True)
+    return table
+
+
+def _recurrence(s: _Scaled, shifts: np.ndarray, guard: bool) -> np.ndarray:
+    """The pivot table of `_pivots`, with the dstebz guard on every row
+    (guard) or with none."""
     table = np.subtract.outer(s.diag, shifts)  # a_k - x
     for k, row in enumerate(table):
         if k:
             row -= s.coupling_sq[k - 1] / table[k - 1]
-        np.minimum(row, -s.pivmin, out=row, where=row < s.pivmin)
+        if guard:
+            np.minimum(row, -s.pivmin, out=row, where=row < s.pivmin)
     return table
 
 

@@ -190,25 +190,25 @@ def _ratio_to_fraction(ratio: float, max_denominator: int, accuracy: float) -> F
     """Best rational n/d with d <= max_denominator within accuracy of ratio.
 
     Walks the continued-fraction convergents of the exact binary value of
-    the float; raises IncommensurableSpectrum when no convergent inside
-    the denominator bound is accurate enough.
+    the float, its integer part first; raises IncommensurableSpectrum when
+    no convergent inside the denominator bound is accurate enough.  Each
+    candidate c/d is tested in integers, |num d - c den| acc_d <= acc_n den d
+    with ratio = num/den and accuracy = acc_n/acc_d exactly.
     """
     if ratio <= 0:
         raise IncommensurableSpectrum(f"gap ratio {ratio} must be positive")
-    exact = Fraction(ratio)
-    whole = math.floor(ratio)
-    fractional = exact - whole
-    candidates = [Fraction(whole)]
-    if fractional:
-        cf = expand_euclid(fractional.numerator, fractional.denominator, "canonical")
-        for pair in convergents(cf):
+    num, den = ratio.as_integer_ratio()
+    acc_num, acc_den = accuracy.as_integer_ratio()
+    whole, rest = divmod(num, den)
+    candidates = [(whole, 1)]
+    if rest:
+        for pair in convergents(expand_euclid(rest, den, "canonical")):
             if pair.p > max_denominator:
                 break  # denominators only grow from here
-            candidates.append(whole + Fraction(pair.q, pair.p))
-    bound = Fraction(accuracy)
-    for candidate in candidates:
-        if candidate > 0 and abs(exact - candidate) <= bound:
-            return candidate
+            candidates.append((whole * pair.p + pair.q, pair.p))
+    for c, d in candidates:
+        if c > 0 and abs(num * d - c * den) * acc_den <= acc_num * den * d:
+            return Fraction(c, d)
     raise IncommensurableSpectrum(
         f"no rational approximation of gap ratio {ratio} with denominator "
         f"<= {max_denominator} within {accuracy}"

@@ -93,8 +93,16 @@ def random_jacobi(rng: random.Random, size: int, min_gap: float = 1e-3) -> Jacob
             return matrix
 
 
+PERSYMMETRIC_DRAWS = 1000
+
+
 def random_persymmetric(rng: random.Random, size: int, min_gap: float = 1e-3) -> JacobiMatrix:
-    while True:
+    """Random mirrored chain whose eigenvalues are separated by at least
+    min_gap, drawn by rejection.  The end eigenvalue pairs of such chains
+    close in exponentially with the size, so past ~30 sites hardly a draw
+    passes; after PERSYMMETRIC_DRAWS rejected draws it raises ValueError
+    (`random_mirror` needs no rejection)."""
+    for _ in range(PERSYMMETRIC_DRAWS):
         half_d = [rng.uniform(-2.0, 2.0) for _ in range((size + 1) // 2)]
         diag = half_d + half_d[: size // 2][::-1]
         m = size - 1
@@ -104,6 +112,10 @@ def random_persymmetric(rng: random.Random, size: int, min_gap: float = 1e-3) ->
         eigs = np.linalg.eigvalsh(matrix.dense())
         if float(np.diff(eigs).min()) >= min_gap:
             return matrix
+    raise ValueError(
+        f"no mirrored chain of {size} sites with eigenvalue gaps >= {min_gap} "
+        f"in {PERSYMMETRIC_DRAWS} draws"
+    )
 
 
 def random_mirror(rng: random.Random, size: int) -> JacobiMatrix:

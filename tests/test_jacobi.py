@@ -297,6 +297,44 @@ def recurrence_pivots(h: JacobiMatrix, xs) -> np.ndarray:
     return np.array(columns).T
 
 
+def dstebz_pivots(s, shifts) -> np.ndarray:
+    """The guarded pivot table over Python floats, one column at a time:
+    q_k = (a_k - x) - b_{k-1}^2 / q_{k-1}, and a q with |q| < pivmin
+    replaced by -pivmin before the next row reads it (LAPACK dstebz)."""
+    shifts = np.asarray(shifts, dtype=float)
+    table = np.empty((len(s.diag), *shifts.shape))
+    for column in np.ndindex(shifts.shape):
+        x = float(shifts[column])
+        for k, a in enumerate(s.diag):
+            q = a - x if k == 0 else (a - x) - s.coupling_sq[k - 1] / q
+            if -s.pivmin < q < s.pivmin:
+                q = -s.pivmin
+            table[(k, *column)] = q
+    return table
+
+
+def _hit_cases():
+    """Chains, each with shifts that make pivots hit zero or come near it:
+    0 on a zero diagonal, the diagonal entries, +-inf, every eigenvalue and
+    the double after it, and entries near 1e300 with couplings near 1e-310;
+    then random chains at the same kinds of shifts."""
+    b = math.sqrt(6) / 2
+    chains = [
+        krawtchouk(5),
+        JacobiMatrix((0.0,) * 5, (1.0, 2.0, 0.5, 3.0)),
+        JacobiMatrix((0.0, 1.0, 0.0, -1.0), (b, 1.0, b)),
+        JacobiMatrix((1e300, -3e299, 7e299), (1.5e-310, 2e-310)),
+        JacobiMatrix((2.0, -1.0, 0.5, 0.5, -1.0, 2.0), (1.0, 0.25, 3.0, 0.25, 1.0)),
+        JacobiMatrix((0.0,), ()),
+    ]
+    rng = random.Random(89)
+    chains += [random_jacobi(rng, rng.randint(1, 12)) for _ in range(20)]
+    for h in chains:
+        eigs = np.linalg.eigvalsh(h.dense())
+        shifts = np.array([0.0, math.inf, -math.inf, *h.diag, *eigs, *np.nextafter(eigs, math.inf)])
+        yield h, shifts * _scaled(h).factor
+
+
 class TestPivotTable:
     """Row k of the table is the pivot q_k = -b_k p_{k+1}(x) / p_k(x) of the
     paper's recurrence, times the scale factor, at the scaled shift."""
@@ -350,6 +388,53 @@ class TestPivotTable:
         counts = _count_less(_scaled(h), shifts)
         assert counts.tolist() == np.searchsorted(np.linalg.eigvalsh(h.dense()), shifts).tolist()
         assert len(sizes) == 3 and sum(sizes) == 7700 and max(sizes) * h.size <= 2**22 + h.size
+
+    @pytest.mark.filterwarnings("error")
+    def test_bit_identical_to_the_guarded_recurrence(self):
+        # the table is run bare and its hit columns again under the guard;
+        # no warning of the bare pass may escape
+        for h, shifts in _hit_cases():
+            s = _scaled(h)
+            for chain in (s, s.mirrored()):
+                for x in (shifts, shifts.reshape(1, -1), np.resize(shifts, (3, shifts.size))):
+                    assert _pivots(chain, x).tobytes() == dstebz_pivots(chain, x).tobytes()
+
+    @staticmethod
+    def _record(monkeypatch) -> list:
+        """The guard flag and the shift shape of every pass of the recurrence."""
+        passes = []
+        recurrence = jacobi_module._recurrence
+
+        def recording(s, x, guard):
+            passes.append((guard, x.shape))
+            return recurrence(s, x, guard)
+
+        monkeypatch.setattr(jacobi_module, "_recurrence", recording)
+        return passes
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_table_without_a_hit_runs_the_guard_on_no_column(self, monkeypatch):
+        passes = self._record(monkeypatch)
+        h = random_jacobi(random.Random(97), 12)
+        eigs = np.linalg.eigvalsh(h.dense())
+        s = _scaled(h)
+        x = np.vstack((0.5 * (eigs[1:] + eigs[:-1]), np.linspace(-6.0, 6.0, 11))) * s.factor
+        table = _pivots(s, x)
+        assert passes == [(False, (2, 11))]
+        assert (table < 0).any() and table.tobytes() == dstebz_pivots(s, x).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_hit_column_repairs_that_column_alone(self, monkeypatch):
+        # pivmin = tiny: the shifts +-pivmin give the pivots -+pivmin, which the
+        # guard leaves as they are; shift 0 hits, and the bare pass runs its
+        # column into 0 - 1 / 0 = -inf
+        passes = self._record(monkeypatch)
+        s = _scaled(JacobiMatrix((0.0, 0.0), (1.0,)))
+        x = np.array([s.pivmin, -s.pivmin, 0.0, 0.5])
+        table = _pivots(s, x)
+        assert passes == [(False, (4,)), (True, (1,))]
+        assert table[:, 2].tolist() == [-s.pivmin, 1.0 / s.pivmin]
+        assert table.tobytes() == dstebz_pivots(s, x).tobytes()
 
 
 def _keys(x) -> np.ndarray:

@@ -2,6 +2,7 @@ import io
 import math
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from palinfrac.jacobi import (
     is_persymmetric,
     normalized_poly_sequence,
 )
+from palinfrac.numeric_cf import convergents, expand_euclid
 from palinfrac.pst import (
     AmplitudeTrace,
+    _ratio_to_fraction,
     check_pst1_spectrum,
     design_persymmetric,
     evolve,
@@ -456,6 +459,67 @@ class TestPhaseCheck:
         assert not check_pst1_spectrum(spectrum, math.pi / 2, 0.0, 1e-9)
         single = Spectrum((0.0,), 1e-9)
         assert check_pst1_spectrum(single, 1.0, 0.0, 1e-12)
+
+
+def fraction_reconstruction(ratio: float, max_denominator: int, accuracy: float) -> Fraction:
+    """Reference: every convergent of the exact value of ratio, integer
+    part first, as a Fraction, and the first one within accuracy."""
+    if ratio <= 0:
+        raise IncommensurableSpectrum(f"gap ratio {ratio} must be positive")
+    exact = Fraction(ratio)
+    whole = math.floor(ratio)
+    fractional = exact - whole
+    candidates = [Fraction(whole)]
+    if fractional:
+        for pair in convergents(expand_euclid(fractional.numerator, fractional.denominator, "canonical")):
+            if pair.p > max_denominator:
+                break
+            candidates.append(whole + Fraction(pair.q, pair.p))
+    for candidate in candidates:
+        if candidate > 0 and abs(exact - candidate) <= Fraction(accuracy):
+            return candidate
+    raise IncommensurableSpectrum(
+        f"no rational approximation of gap ratio {ratio} with denominator "
+        f"<= {max_denominator} within {accuracy}"
+    )
+
+
+class TestRatioToFraction:
+    @staticmethod
+    def _ratios() -> list[float]:
+        """Gap ratios of designed odd-gap chains, as `verify_pst` forms them,
+        and random ones, some within 1e-12 of a small fraction."""
+        rng = random.Random(101)
+        ratios = [0.0, -1.0, 5e-324, 1e-300, 1.0, 3.0, 1e300, 1 / 3, 2 / 3 + 1e-13]
+        for n in (16, 64):
+            half_gaps = [rng.choice((1, 3, 5)) for _ in range(n // 2)]
+            spacing = half_gaps[:-1] + half_gaps[::-1]
+            lams = np.cumsum([0, *spacing]) - sum(spacing) / 2
+            half = [0.5 * lam for lam in eigenvalues(design_persymmetric(Spectrum(lams, 1e-9))).eigenvalues]
+            gaps = [half[k + 1] - half[k] for k in range(len(half) - 1)]
+            ratios += [gap / gaps[0] for gap in gaps]
+        ratios += [rng.uniform(0.0, 50.0) for _ in range(300)]
+        ratios += [rng.randint(1, 99) / rng.randint(1, 99) + rng.uniform(-1e-12, 1e-12) for _ in range(300)]
+        return ratios
+
+    @pytest.mark.parametrize("accuracy", [1e-14, 1e-12, 1e-8, 0.01])
+    def test_matches_the_fraction_reconstruction(self, accuracy):
+        for ratio in self._ratios():
+            for max_denominator in (10, 10**6):
+                outcomes = []
+                for reconstruct in (_ratio_to_fraction, fraction_reconstruction):
+                    try:
+                        outcomes.append(reconstruct(ratio, max_denominator, accuracy))
+                    except IncommensurableSpectrum as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], ratio
+                assert type(outcomes[0]) is type(outcomes[1])
+
+    def test_accuracy_bound_is_inclusive(self):
+        # 1/2 lies exactly 2^-10 from the ratio 513/1024
+        assert _ratio_to_fraction(0.5 + 2**-10, 10, 2**-10) == Fraction(1, 2)
+        with pytest.raises(IncommensurableSpectrum, match="denominator <= 10 within"):
+            _ratio_to_fraction(0.5 + 2**-10, 10, 2**-11)
 
 
 class TestMirrorSymmetryProperty:

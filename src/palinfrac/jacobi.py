@@ -241,22 +241,35 @@ def _pivots(s: _Scaled, shifts: np.ndarray) -> np.ndarray:
     numpy calls a row, and then the guarded recurrence runs again on the
     columns that hold an entry in (-pivmin, pivmin), the only entries the
     guard changes; a hit may have left inf or NaN further down its column.
+    When every column holds one, the guarded run overwrites the table, so
+    no second table is held.
     Columns are independent, and a column without a hit goes through the
     same floating-point operations either way, so the table is bit for bit
     that of the guarded recurrence.
     """
     with np.errstate(all="ignore"):  # a hit column may divide by 0; it is redone below
         table = _recurrence(s, shifts, guard=False)
-    redo = ((table < s.pivmin) & (table > -s.pivmin)).any(axis=0)
-    if redo.any():
+
+    def hits(rows: np.ndarray) -> np.ndarray:
+        return ((rows < s.pivmin) & (rows > -s.pivmin)).any(axis=0)
+
+    # the check walks row blocks of about 2^18 pivots, so its masks stay small
+    step = max(1, 2**18 // max(1, shifts.size))
+    redo = hits(table[:step])
+    for k in range(step, len(table), step):
+        redo |= hits(table[k : k + step])
+    hit = np.count_nonzero(redo)
+    if hit == redo.size:  # no second table: the guarded pass overwrites the bare one
+        _recurrence(s, shifts, guard=True, out=table)
+    elif hit:
         table[:, redo] = _recurrence(s, shifts[redo], guard=True)
     return table
 
 
-def _recurrence(s: _Scaled, shifts: np.ndarray, guard: bool) -> np.ndarray:
+def _recurrence(s: _Scaled, shifts: np.ndarray, guard: bool, out: np.ndarray | None = None) -> np.ndarray:
     """The pivot table of `_pivots`, with the dstebz guard on every row
-    (guard) or with none."""
-    table = np.subtract.outer(s.diag, shifts)  # a_k - x
+    (guard) or with none, written to ``out`` when given."""
+    table = np.subtract.outer(s.diag, shifts, out=out)  # a_k - x
     for k, row in enumerate(table):
         if k:
             row -= s.coupling_sq[k - 1] / table[k - 1]
@@ -443,9 +456,17 @@ def _multisection(s: _Scaled, tol: float | None, index: np.ndarray, count) -> Sp
         lower, upper = ends[rows, flip], ends[rows, flip + 1]
     # 0.5 * (lower + upper) of two adjacent doubles rounds to the end with the
     # even key (ties to even); picking it directly cannot overflow
-    found = _from_keys(np.where(lower & 1, upper, lower))
-    if np.isinf(found).any():  # a bracket end at +-inf has the even key
-        raise OutOfRange(f"eigenvalue {np.isinf(found).argmax()} lies past the largest double")
+    odd = lower & 1
+    found = _from_keys(np.where(odd, upper, lower))
+    if np.isinf(found).any():
+        # A bracket end at +-inf has the even key.  Its other end is the
+        # largest double, and that is the eigenvalue where the Gershgorin
+        # interval of H ends at a finite double on the same side.
+        lo, hi = s.lo / s.factor, s.hi / s.factor
+        clipped = ((found == -math.inf) & (lo > -math.inf)) | ((found == math.inf) & (hi < math.inf))
+        found[clipped] = _from_keys(np.where(odd, lower, upper))[clipped]
+        if np.isinf(found).any():
+            raise OutOfRange(f"eigenvalue {np.isinf(found).argmax()} lies past the largest double")
     found[np.abs(found) <= s.pivmin / s.factor] = 0.0  # an eigenvalue 0 lands on -pivmin
     try:
         return Spectrum(found, tol)

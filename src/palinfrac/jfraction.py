@@ -47,7 +47,7 @@ from typing import Iterable
 
 from .errors import DegreeMismatch, InternalCheckFailed, NotCoprime, NotInterlacing
 from .pfraction import _euclid
-from .polynomial import ONE, X, ZERO, Polynomial, format_rational, parse_rational, poly_divmod, three_term
+from .polynomial import ONE, ZERO, Polynomial, format_rational, parse_rational, poly_divmod, three_term
 from .polynomial import _remainder_chain
 
 __all__ = [
@@ -158,7 +158,7 @@ def expand_jfraction(Q: Polynomial, P: Polynomial) -> JFraction:
 def jfraction_to_rational(jf: JFraction) -> tuple[Polynomial, Polynomial, tuple[list, list]]:
     """Run the three-term recurrences; returns (Q_{N+1}, P_{N+1}, (Ps, Qs))
     with Ps[k] = P_k and Qs[k] = Q_k for k = 0..N+1."""
-    steps = [(X - Polynomial((a,)), -b2) for a, b2 in zip(jf.a, (1,) + jf.b2)]  # b_{-1} = 1
+    steps = [(Polynomial((-a, 1)), -b2) for a, b2 in zip(jf.a, (1,) + jf.b2)]  # x - a_k; b_{-1} = 1
     ps, qs = three_term(steps, (ZERO, ONE)), three_term(steps, (-ONE, ZERO))
     return qs[-1], ps[-1], (ps, qs)
 

@@ -2,16 +2,19 @@
 
 ``BigRational`` is ``fractions.Fraction``: always stored reduced with a
 positive denominator, unbounded precision.  A ``Polynomial`` is stored as
-a canonical pair c * v: a nonzero rational content c (a Fraction that
-carries the sign) and a primitive integer coefficient tuple v, lowest
-degree first, with gcd 1, a positive leading entry and no trailing zeros.
-The zero polynomial is c = 0 with the empty tuple and reports degree -1.
-Arithmetic runs on the integers and touches the content once per result:
-by Gauss's lemma the product of two primitive vectors is primitive, so a
-product needs no gcd; scaling, negation and `monic` change only c; a sum
-takes one gcd over the integer vector, and `poly_divmod` one per result.  The
-rational coefficients (:attr:`Polynomial.coefficients`) are built from the
-pair on first use.
+a canonical pair c * v: a nonzero rational content c and a primitive
+integer coefficient tuple v, lowest degree first, with gcd 1, a positive
+leading entry and no trailing zeros.  c is held as a reduced integer pair
+(num, den) with den > 0, so num carries the sign.  The zero polynomial is
+c = 0/1 with the empty tuple and reports degree -1.  Arithmetic runs on
+the integers alone and touches the content once per result: by Gauss's
+lemma the product of two primitive vectors is primitive, so a product
+needs no gcd over the vector, only the two cross-gcds of the contents;
+scaling, negation and `monic` change only c; a sum takes one gcd over the
+integer vector, and `poly_divmod` one per result.  ``Fraction`` objects
+appear only at the boundary: `content`, `leading_coefficient`, `coeff`
+and the rational coefficients (:attr:`Polynomial.coefficients`, built from
+the pair on first use).
 
 Exact evaluation (:meth:`Polynomial.eval_exact`) and 64-bit floating
 evaluation (:meth:`Polynomial.eval_float`, Horner on converted
@@ -19,7 +22,10 @@ coefficients) are separate code paths and are never mixed implicitly.
 
 `three_term` runs u_{k+1} = f_k u_k + g_k u_{k-1} over any ring: it gives
 the convergents, the J- and P-fraction reconstructions and the Chebyshev
-families T_n, U_n.  Also provided: the residual of the Pell-Abel identity
+families T_n, U_n.  On Polynomials each step with a scalar g is one fused
+integer combination (`_step`): the two products over one common
+denominator, summed in one list pass for deg f <= 1, reduced once.  Also
+provided: the residual of the Pell-Abel identity
 T_n^2 - (x^2 - 1) U_{n-1}^2 = 1, which is the zero polynomial for every n.
 """
 
@@ -63,19 +69,53 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _primitive(num: int, den: int, ints: list) -> tuple[Fraction, tuple[int, ...]]:
-    """The canonical pair of (num / den) * ints, for any integer list ``ints``
-    (consumed) and num, den != 0."""
+def _times(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a / b) * (c / d) in lowest terms for reduced pairs with b, d > 0, by
+    the two cross-gcds."""
+    g, h = gcd(a, d), gcd(c, b)
+    return (a // g) * (c // h), (b // h) * (d // g)
+
+
+def _common(an: int, ad: int, bn: int, bd: int) -> tuple[int, int, int, int]:
+    """(ma, mb, g, den) with an / ad = ma * g / den and bn / bd = mb * g / den
+    for ad, bd > 0: den = lcm(ad, bd) and g = gcd of the two numerators
+    over den, so ma and mb are coprime."""
+    k = gcd(ad, bd)
+    den = ad // k * bd
+    ma, mb = an * (bd // k), bn * (ad // k)
+    g = gcd(ma, mb)
+    return ma // g, mb // g, g, den
+
+
+def _primitive(num: int, den: int, ints: list) -> tuple[int, int, tuple[int, ...]]:
+    """The canonical triple (content num, content den, v) of (num / den) * ints,
+    for any integer list ``ints`` (consumed) and num, den != 0."""
     while ints and not ints[-1]:
         ints.pop()
     if not ints:
-        return Fraction(0), ()
+        return 0, 1, ()
     g = gcd(*ints)
     if ints[-1] < 0:
         g = -g
     if g != 1:
         ints = [v // g for v in ints]
-    return Fraction(num * g, den), tuple(ints)
+    num *= g
+    g = gcd(num, den)  # the content in lowest terms, with den > 0
+    if den < 0:
+        g = -g
+    return num // g, den // g, tuple(ints)
+
+
+def _convolve(a: tuple, b: tuple) -> list[int]:
+    """The schoolbook product of two nonempty integer vectors."""
+    if len(a) < len(b):
+        a, b = b, a
+    na = len(a)
+    out = [0] * (na + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j:j + na] = [o + x * y for o, x in zip(out[j:j + na], a)]
+    return out
 
 
 def _lcm_form(cs: list) -> tuple[int, list]:
@@ -89,14 +129,15 @@ class Polynomial:
     a rational content times a primitive integer vector (see the module
     docstring for the canonical form)."""
 
-    __slots__ = ("_content", "_ints", "_coeffs")
+    __slots__ = ("_num", "_den", "_ints", "_coeffs")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        den, ints = _lcm_form([Fraction(c) for c in coeffs])
+        den, ints = _lcm_form([c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs])
         self._fill(*_primitive(1, den, ints))
 
-    def _fill(self, content: Fraction, ints: tuple[int, ...]) -> "Polynomial":
-        _set(self, "_content", content)
+    def _fill(self, num: int, den: int, ints: tuple[int, ...]) -> "Polynomial":
+        _set(self, "_num", num)
+        _set(self, "_den", den)
         _set(self, "_ints", ints)
         _set(self, "_coeffs", None)
         return self
@@ -114,7 +155,7 @@ class Polynomial:
         """Reduced rational coefficients, lowest degree first."""
         cs = self._coeffs
         if cs is None:
-            n, d = self._content.numerator, self._content.denominator
+            n, d = self._num, self._den
             cs = tuple(Fraction(n * v, d) for v in self._ints)
             _set(self, "_coeffs", cs)
         return cs
@@ -124,7 +165,7 @@ class Polynomial:
         """The rational c with self = c * v for the primitive integer vector v
         with positive leading entry; its sign is the sign of the leading
         coefficient, and it is 0 for the zero polynomial."""
-        return self._content
+        return Fraction(self._num, self._den)
 
     @property
     def degree(self) -> int:
@@ -139,18 +180,17 @@ class Polynomial:
     def leading_coefficient(self) -> Fraction:
         if not self._ints:
             return Fraction(0)
-        return self._content * self._ints[-1]
+        return Fraction(self._num * self._ints[-1], self._den)
 
     @property
     def is_monic(self) -> bool:
         # content * lead == 1 with lead > 0, read off the reduced content
-        c = self._content
-        return bool(self._ints) and c.numerator == 1 and c.denominator == self._ints[-1]
+        return bool(self._ints) and self._num == 1 and self._den == self._ints[-1]
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of x^i, zero beyond the stored degree."""
         if 0 <= i < len(self._ints):
-            return self._content * self._ints[i]
+            return Fraction(self._num * self._ints[i], self._den)
         return Fraction(0)
 
     # -- ring operations ---------------------------------------------------
@@ -161,12 +201,7 @@ class Polynomial:
             return self
         if not a:
             return other
-        ca, cb = self._content, other._content
-        da, db = ca.denominator, cb.denominator
-        den = lcm(da, db)
-        ma, mb = ca.numerator * (den // da), cb.numerator * (den // db)
-        g = gcd(ma, mb)
-        ma, mb = ma // g, mb // g
+        ma, mb, g, den = _common(self._num, self._den, other._num, other._den)
         if len(a) < len(b):
             a, b, ma, mb = b, a, mb, ma
         out = [ma * x + mb * y for x, y in zip(a, b)]
@@ -174,30 +209,23 @@ class Polynomial:
         return _make(*_primitive(g, den, out))
 
     def __neg__(self) -> "Polynomial":
-        return _make(-self._content, self._ints)
+        return _make(-self._num, self._den, self._ints)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            a, b = self._ints, other._ints
-            if not a or not b:
+            if not self._ints or not other._ints:
                 return ZERO
-            if len(a) < len(b):
-                a, b = b, a
-            na = len(a)
-            out = [0] * (na + len(b) - 1)
-            for j, y in enumerate(b):
-                if y:
-                    out[j:j + na] = [o + x * y for o, x in zip(out[j:j + na], a)]
-            # Gauss's lemma: out is primitive again, with a positive lead
-            return _make(self._content * other._content, tuple(out))
+            # Gauss's lemma: the product is primitive again, with a positive lead
+            content = _times(self._num, self._den, other._num, other._den)
+            return _make(*content, tuple(_convolve(self._ints, other._ints)))
         if not isinstance(other, (int, Fraction)):
             other = Fraction(other)
         if not other or not self._ints:
             return ZERO
-        return _make(self._content * other, self._ints)
+        return _make(*_times(self._num, self._den, other.numerator, other.denominator), self._ints)
 
     __rmul__ = __mul__
 
@@ -237,7 +265,7 @@ class Polynomial:
         for c in v[-2::-1]:
             qpow *= q
             acc = acc * p + c * qpow
-        return Fraction(self._content.numerator * acc, self._content.denominator * qpow)
+        return Fraction(self._num * acc, self._den * qpow)
 
     def eval_float(self, x: float) -> float:
         """Horner evaluation in 64-bit floating point."""
@@ -248,8 +276,7 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         v = self._ints
-        c = self._content
-        return _make(*_primitive(c.numerator, c.denominator, [i * v[i] for i in range(1, len(v))]))
+        return _make(*_primitive(self._num, self._den, [i * v[i] for i in range(1, len(v))]))
 
     def monic(self) -> "Polynomial":
         """Divide through by the leading coefficient."""
@@ -257,7 +284,7 @@ class Polynomial:
             raise DivisionByZeroPolynomial("the zero polynomial has no monic form")
         if self.is_monic:
             return self
-        return _make(Fraction(1, self._ints[-1]), self._ints)
+        return _make(1, self._ints[-1], self._ints)
 
     # -- serialization and comparison ---------------------------------------
 
@@ -272,7 +299,7 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._ints == other._ints and self._content == other._content
+        return self._ints == other._ints and self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
         return hash(self.coefficients)
@@ -299,9 +326,9 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
 
-def _make(content: Fraction, ints: tuple[int, ...]) -> Polynomial:
-    """A Polynomial from a pair already in canonical form."""
-    return object.__new__(Polynomial)._fill(content, ints)
+def _make(num: int, den: int, ints: tuple[int, ...]) -> Polynomial:
+    """A Polynomial from a triple already in canonical form."""
+    return object.__new__(Polynomial)._fill(num, den, ints)
 
 
 ZERO = Polynomial()
@@ -339,9 +366,8 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
             scale *= m
         quot[shift] = t
         rem[shift:] = [r - t * w for r, w in zip(rem[shift:], d)]
-    cn, cd = num._content, den._content
-    quotient = _make(*_primitive(cn.numerator * cd.denominator, cn.denominator * cd.numerator * scale, quot))
-    return quotient, _make(*_primitive(cn.numerator, cn.denominator * scale, rem))
+    quotient = _make(*_primitive(num._num * den._den, num._den * den._num * scale, quot))
+    return quotient, _make(*_primitive(num._num, num._den * scale, rem))
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -364,19 +390,56 @@ def _remainder_chain(a: Polynomial, b: Polynomial) -> list[Polynomial]:
 
 def _unit_content(p: Polynomial) -> Polynomial:
     """p times the positive rational 1 / |content(p)|."""
-    return p * (1 / abs(p.content)) if p.content else p
+    return _make(1 if p._num > 0 else -1, 1, p._ints) if p._ints else p
 
 
 def three_term(steps: Iterable[tuple], seed: tuple) -> list:
     """Values u_0, u_1, ..., u_n of u_{k+1} = f_k u_k + g_k u_{k-1}, one pair
     (f_k, g_k) of ``steps`` per k, from ``seed`` = (u_{-1}, u_0); any ring
-    works (int, Fraction, Polynomial), as only ``*`` and ``+`` are used."""
+    works (int, Fraction, float, Polynomial), as only ``*`` and ``+`` are
+    used.  When both seeds are Polynomials every step runs through the
+    fused `_step`, which gives the same canonical values as
+    f_k * u_k + g_k * u_{k-1} with no intermediate Polynomial or Fraction;
+    any other seed runs that expression as it stands."""
     prev, cur = seed
     values = [cur]
-    for f, g in steps:
-        prev, cur = cur, f * cur + g * prev
-        values.append(cur)
+    if isinstance(prev, Polynomial) and isinstance(cur, Polynomial):
+        for f, g in steps:
+            prev, cur = cur, _step(f, cur, g, prev)
+            values.append(cur)
+    else:
+        for f, g in steps:
+            prev, cur = cur, f * cur + g * prev
+            values.append(cur)
     return values
+
+
+def _step(f, cur: Polynomial, g, prev: Polynomial) -> Polynomial:
+    """f * cur + g * prev for Polynomials f, cur, prev and an int or Fraction
+    g, as one integer combination: the contents of the two products are
+    brought to one common denominator, the integer vectors combined in one
+    list pass when deg f <= 1 (schoolbook above), and the sum reduced by one
+    `_primitive`.  The canonical form is unique, so this is the very value
+    the generic expression gives; that expression still runs when f is not
+    a Polynomial, g is not an int or Fraction, or either product is zero."""
+    if not (isinstance(f, Polynomial) and isinstance(g, (int, Fraction)) and g
+            and f._ints and cur._ints and prev._ints):
+        return f * cur + g * prev
+    a, b, c = f._ints, cur._ints, prev._ints
+    # the contents of f * cur and g * prev (not reduced) over one denominator
+    ml, mr, k, den = _common(f._num * cur._num, f._den * cur._den,
+                             g.numerator * prev._num, g.denominator * prev._den)
+    if len(a) > 2:  # schoolbook: b becomes the integer vector of f * cur
+        a, b = (1,), tuple(_convolve(a, b))
+    n = max(len(b) + len(a) - 1, len(c))
+    b, c = b + (0,) * (n - len(b)), c + (0,) * (n - len(c))
+    u = ml * a[0]
+    if len(a) == 2:
+        v = ml * a[1]
+        out = [u * x + v * y + mr * z for x, y, z in zip(b, (0, *b), c)]
+    else:
+        out = [u * x + mr * z for x, z in zip(b, c)]
+    return _make(*_primitive(k, den, out))
 
 
 def _chebyshev(n: int, before_one: Polynomial) -> Polynomial:

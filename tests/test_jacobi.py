@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -435,6 +436,26 @@ class TestPivotTable:
         assert passes == [(False, (4,)), (True, (1,))]
         assert table[:, 2].tolist() == [-s.pivmin, 1.0 / s.pivmin]
         assert table.tobytes() == dstebz_pivots(s, x).tobytes()
+
+
+class TestPivotTableMemory:
+    def test_a_pass_that_repairs_every_column_holds_one_table(self):
+        # Krawtchouk's zero diagonal makes the shift 0 hit in row 0 of every
+        # column; the guarded pass then overwrites the bare table in place
+        # (a second table doubled the peak), and the hit check walks row
+        # blocks, so its masks stay small beside the table
+        s = _scaled(krawtchouk(1024))
+        shifts = np.zeros(1024)
+        tracemalloc.start()
+        try:
+            table = _pivots(s, shifts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table.nbytes
+        small = _scaled(krawtchouk(64))
+        x = np.zeros((2, 32))
+        assert _pivots(small, x).tobytes() == dstebz_pivots(small, x).tobytes()
 
 
 def _keys(x) -> np.ndarray:

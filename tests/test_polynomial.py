@@ -407,6 +407,79 @@ class TestChebyshev:
                 assert abs(t.eval_float(math.cos(theta)) - math.cos(n * theta)) <= 1e-12
 
 
+def _plain_three_term(steps, seed) -> list:
+    """The generic loop u_{k+1} = f_k * u_k + g_k * u_{k-1}, as the
+    reference for the fused Polynomial step of `three_term`."""
+    prev, cur = seed
+    values = [cur]
+    for f, g in steps:
+        prev, cur = cur, f * cur + g * prev
+        values.append(cur)
+    return values
+
+
+def _ref_three_term(steps, seed) -> list:
+    """The same recurrence on plain Fraction coefficient lists."""
+    def scaled(g, a):
+        return _ref_mul(g.coefficients, a) if isinstance(g, Polynomial) else _trim(g * c for c in a)
+
+    prev, cur = (u.coefficients for u in seed)
+    values = [cur]
+    for f, g in steps:
+        prev, cur = cur, _ref_add(_ref_mul(f.coefficients, cur), scaled(g, prev))
+        values.append(cur)
+    return values
+
+
+step_f = st.lists(small_fraction, min_size=0, max_size=4).map(Polynomial)  # degree -1..3
+step_g = st.one_of(
+    st.integers(-5, 5),
+    small_fraction,
+    st.just(0),
+    st.integers(-9, -1),
+    small_fraction.filter(lambda v: v < 0),
+    st.lists(small_fraction, min_size=0, max_size=3).map(Polynomial),
+)
+step_seed = st.one_of(st.sampled_from([(ZERO, ONE), (-ONE, ZERO)]), st.tuples(small_poly, small_poly))
+
+
+class TestThreeTermStep:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(step_f, step_g), min_size=0, max_size=7), step_seed)
+    def test_polynomial_values_match_the_generic_loop(self, steps, seed):
+        got = three_term(steps, seed)
+        assert got == _plain_three_term(steps, seed)
+        for value, ref in zip(got, _ref_three_term(steps, seed), strict=True):
+            assert value.coefficients == ref
+            assert value == Polynomial(ref)
+            _assert_canonical(value)
+
+    def test_jfraction_steps_at_level_64(self):
+        rng = random.Random(3)
+        steps = [(Polynomial((Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 1)),
+                  -Fraction(rng.randint(1, 9), rng.randint(1, 9))) for _ in range(64)]
+        for seed in ((ZERO, ONE), (-ONE, ZERO)):
+            got = three_term(steps, seed)
+            assert got == _plain_three_term(steps, seed)
+            assert [v.coefficients for v in got] == _ref_three_term(steps, seed)
+            for value in got:
+                _assert_canonical(value)
+
+    def test_scalar_seeds_keep_the_plain_loop(self):
+        rng = random.Random(11)
+        int_steps = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(40)]
+        frac_steps = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(-1, rng.randint(1, 9)))
+                      for _ in range(40)]
+        float_steps = [((0.37 - rng.random()) / 0.7, -rng.random()) for _ in range(40)]
+        for steps, seed, kind in ((int_steps, (0, 1), int), (frac_steps, (Fraction(0), Fraction(1, 3)), Fraction),
+                                  (float_steps, (0.0, 1.0), float)):
+            got = three_term(steps, seed)
+            assert got == _plain_three_term(steps, seed)
+            assert all(type(v) is kind for v in got)
+        assert three_term([(1, 1)] * 10, (0, 1)) == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+        assert three_term([(0.5, -0.25)] * 3, (0.0, 1.0)) == [1.0, 0.5, 0.0, -0.125]
+
+
 class TestPellAbel:
     def test_residual_is_zero_polynomial(self):
         for n in range(1, 31):

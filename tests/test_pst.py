@@ -418,6 +418,24 @@ class TestDesignScale:
         found = np.asarray(eigenvalues(quarter).eigenvalues)
         assert np.abs(found - np.asarray(lams) / 4).max() <= 1e-8 * MAX_DOUBLE / 4
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lams", [(-MAX_DOUBLE, MAX_DOUBLE), (-MAX_DOUBLE, 0.0, MAX_DOUBLE)])
+    def test_design_verify_round_trip_at_the_largest_double(self, lams):
+        # the last bracket of the end eigenvalue is (-inf, -max]; its even-key
+        # end -inf was rejected as OutOfRange although the Gershgorin interval
+        # of the chain ends at a finite double
+        h = design_persymmetric(Spectrum(lams, 1e296))
+        found = eigenvalues(h).eigenvalues
+        assert np.isfinite(found).all()
+        assert np.abs(np.asarray(found) - lams).max() <= 4 * sys.float_info.epsilon * MAX_DOUBLE
+        cert = verify_pst(h)
+        assert cert.spectrum.eigenvalues == found
+        # past the largest double it stays a domain error
+        with pytest.raises(OutOfRange, match="eigenvalue 0 lies past the largest double"):
+            eigenvalues(JacobiMatrix((-1e308, -1e308), (1e308,)))
+        with pytest.raises(OutOfRange, match="eigenvalue 1 lies past the largest double"):
+            eigenvalues(JacobiMatrix((1e308, 1e308), (1e308,)))
+
     @pytest.mark.parametrize("seed", range(12))
     def test_power_of_two_equivariance(self, seed):
         # with max |lambda| >= 1 the scale is max |lambda|, and 2^600 scales it exactly

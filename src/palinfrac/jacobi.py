@@ -32,9 +32,11 @@ chains, S for the symmetric eigenvectors and A for the antisymmetric ones,
 which alternate from the top down.  The halves share every pivot row but
 one, so a folded count (`_count_folded`) tabulates about N / 2 rows for
 the shifts of both and adds one fold row; the multisection runs unchanged
-on it, each bracket counting in its own half.  The private folded solvers
-serve the state-transfer layer; `eigenvalues` itself always counts the
-whole matrix, bit-identical to bisection.
+on it, each bracket counting in its own half (`_kinds` places the kinds
+in the spectrum).  The private folded solvers serve the state-transfer
+layer, as does `_unfold`, the inverse of `_fold`, which builds the chain
+from its symmetric half for the design; `eigenvalues` itself always
+counts the whole matrix, bit-identical to bisection.
 
 Everything in this module runs in 64-bit floating point; exact rationals
 enter only through the explicit conversion in `from_jfraction`.
@@ -341,6 +343,28 @@ def _fold(s: _Scaled) -> _Fold:
     return _Fold(S, A, shared, ends)
 
 
+def _unfold(diag, offdiag, n: int, middle: float) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal and off-diagonal of the persymmetric chain of n >= 2
+    sites whose symmetric half S (`_Fold`) has the given entries, from
+    site 0 to the mirror: the inverse of `_fold`.  For even n, middle is
+    b_{m-1}, which the last site of S carries on its diagonal beyond
+    a_{m-1}; for odd n it is ignored, and the last coupling of S is
+    sqrt(2) b_{m-1}."""
+    diag, offdiag = np.array(diag, dtype=float), np.array(offdiag, dtype=float)
+    if n % 2:
+        offdiag[-1] /= math.sqrt(2)
+        return np.concatenate((diag, diag[-2::-1])), np.concatenate((offdiag, offdiag[::-1]))
+    diag[-1] -= middle
+    return np.concatenate((diag, diag[::-1])), np.concatenate((offdiag, [middle], offdiag[::-1]))
+
+
+def _kinds(n: int) -> tuple[slice, slice]:
+    """The positions of the symmetric and of the antisymmetric eigenvectors
+    among the n ascending eigenvalues of a persymmetric chain: the kinds
+    alternate, and the top one is symmetric."""
+    return slice((n - 1) % 2, n, 2), slice(n % 2, n, 2)
+
+
 def _count_folded(f: _Fold, shifts, symmetric) -> np.ndarray:
     """Eigenvalues of S (where symmetric holds) or of A below each shift:
     the negative pivots of one table of the shared rows, for both halves at
@@ -397,15 +421,15 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
 def _folded_eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     """`eigenvalues` of a persymmetric H of two or more sites, solved on
     its two half chains (`_Fold`).  The kinds alternate and the top
-    eigenvector is symmetric, so eigenvalue k of H is eigenvalue k // 2 of
-    S when n - 1 - k is even and of A otherwise; its bracket counts in that
-    half alone.  The results agree with those of `eigenvalues` to a few
-    ulps of max(1, ||H||_inf), as the halves round differently."""
+    eigenvector is symmetric (`_kinds`), so eigenvalue k of H is eigenvalue
+    k // 2 of its half, and its bracket counts in that half alone.  The
+    results agree with those of `eigenvalues` to a few ulps of
+    max(1, ||H||_inf), as the halves round differently."""
     s = _scaled(H)
     fold = _fold(s)
-    index = np.arange(H.size)
-    symmetric = ((H.size - 1 - index) % 2 == 0)[:, None]
-    return _multisection(s, tol, index // 2, lambda x: _count_folded(fold, x, symmetric))
+    symmetric = np.zeros((H.size, 1), dtype=bool)
+    symmetric[_kinds(H.size)[0]] = True
+    return _multisection(s, tol, np.arange(H.size) // 2, lambda x: _count_folded(fold, x, symmetric))
 
 
 def _multisection(s: _Scaled, tol: float | None, index: np.ndarray, count) -> Spectrum:
@@ -544,7 +568,7 @@ def _folded_eigenvectors(H: JacobiMatrix, lams) -> np.ndarray:
     n, m = H.size, H.size // 2
     fold = _fold(_scaled(H))
     lams = np.asarray(lams, dtype=float)
-    symmetric, antisymmetric = slice((n - 1) % 2, n, 2), slice(n % 2, n, 2)
+    symmetric, antisymmetric = _kinds(n)
     u = _eigenvectors(fold.symmetric, lams[symmetric])
     w = _eigenvectors(fold.antisymmetric, lams[antisymmetric])
     vectors = np.zeros((n, lams.size))

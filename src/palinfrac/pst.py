@@ -20,18 +20,22 @@ kind is that of a half chain, S or A, of about N / 2 sites (Cantoni &
 Butler 1976; `jacobi._Fold`).  `verify_pst` and `evolve` then count the
 eigenvalues of both halves in one pivot table of half the rows, and
 `evolve` unfolds the eigenvectors of the halves, so a symmetric and an
-antisymmetric vector are orthogonal however close their eigenvalues lie.
+antisymmetric vector are orthogonal however close their eigenvalues lie;
+only eigenvalues of one kind must keep the default separation apart.
 Any other chain, one mirrored only within a tolerance too, is solved whole.
 
 `design_persymmetric` inverts the problem on the half: given a prescribed
-spectrum it splits it into the eigenvalues of S (the top one, and every
-second one below it) and of A, forms the weights of S at its mirror-end
-site, w_j^2 proportional to |P_A(mu_j)| / |P_S'(mu_j)| over the
-eigenvalues mu_j of S (summed as logarithms, so the products cannot
-overflow, and normalized to sum 1), and runs a fully reorthogonalized
-Lanczos pass on the diagonal matrix of the mu_j started from the weight
-vector.  The recurrence coefficients are S read from the mirror outwards;
-reversed and unfolded they give a chain mirrored exactly.  The
+spectrum it splits it into the eigenvalues of S and of A (`jacobi._kinds`:
+the top one, and every second one below it, are those of S), forms the
+weights of S at its mirror-end site, w_j^2 proportional to
+|P_A(mu_j)| / |P_S'(mu_j)| over the eigenvalues mu_j of S (summed as
+logarithms over the differences mu_j - nu_k and mu_j - mu_k, so the
+products cannot overflow, and normalized to sum 1), and runs Lanczos on
+the diagonal matrix of the mu_j started from the weight vector, each step
+one projection of mu q_j on the complement of q_0..q_j, applied twice.
+The recurrence coefficients are S read from the mirror outwards; reversed
+and unfolded by `jacobi._unfold`, the inverse of the fold, they give a
+chain mirrored exactly.  The
 construction is not taken on faith: it validates its own contract before
 returning, persymmetry entry by entry and the spectrum of the whole chain
 by a two-count certificate, one pivot count at every lambda_k - delta and
@@ -56,6 +60,7 @@ from .errors import (
     NoOddScaling,
     NotPersymmetric,
     OutOfRange,
+    ToleranceTooLoose,
 )
 from .jacobi import (
     JacobiMatrix,
@@ -63,7 +68,9 @@ from .jacobi import (
     _count_less,
     _folded_eigenvalues,
     _folded_eigenvectors,
+    _kinds,
     _scaled,
+    _unfold,
     eigenvalues,
     eigenvectors,
     is_persymmetric,
@@ -142,7 +149,10 @@ def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     max |t| * ||H|| exceeds 2^53, with ||H|| the Gershgorin bound on every
     |lambda|: beyond it neighbouring doubles lie 2 or more apart, so the
     rounding of t lambda alone can move the phase of e^{it lambda} by a
-    radian.
+    radian.  ToleranceTooLoose is raised when two eigenvalues lie within
+    1e-12 * max(1, ||H||_inf) of each other; on a chain that folds, only
+    when both are of one kind (`jacobi._kinds`), as vectors of two kinds
+    are orthogonal by construction.
     """
     times = [float(t) for t in times]
     if not all(math.isfinite(t) for t in times):
@@ -151,9 +161,18 @@ def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     reach = max(map(abs, times), default=0.0) / s.factor * s.norm
     if reach > 2.0**53:
         raise OutOfRange(f"max |t| * ||H|| = {reach:.3e} exceeds 2^53: phases lost to rounding")
-    solve, vectors = (_folded_eigenvalues, _folded_eigenvectors) if _folds(H) else (eigenvalues, eigenvectors)
-    lams = np.asarray(solve(H).eigenvalues)
-    basis = vectors(H, lams)
+    if _folds(H):
+        # a symmetric and an antisymmetric vector are orthogonal however close
+        # their eigenvalues lie, so only those of one kind need the default
+        # separation of `eigenvalues`, 1e-12 * max(1, ||H||_inf), here scaled
+        lams = np.asarray(_folded_eigenvalues(H, math.ulp(0.0)).eigenvalues)
+        separation = 1e-12 * max(s.factor, s.norm)
+        if any((np.diff(lams[kind] * s.factor) <= separation).any() for kind in _kinds(H.size)):
+            raise ToleranceTooLoose(f"eigenvalues of one kind lie within {separation / s.factor:.3e}")
+        basis = _folded_eigenvectors(H, lams)
+    else:
+        lams = np.asarray(eigenvalues(H).eigenvalues)
+        basis = eigenvectors(H, lams)
     amplitudes = (np.exp(1j * np.multiply.outer(times, lams)) * basis[0]) @ basis.T
     try:
         return AmplitudeTrace(times, amplitudes)
@@ -267,15 +286,18 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     the antisymmetric half A (Hochstadt 1974; Hald 1976).  Spectral weights
     w_j^2 proportional to |P_A(lambda_j)| / |P_S'(lambda_j)| over the
     eigenvalues lambda_j of S define the discrete measure of S at its
-    mirror-end site, and a fully reorthogonalized Lanczos pass on the
-    diagonal matrix of those eigenvalues started from the weight vector
-    reads S off the recurrence coefficients, from the mirror outwards.
-    Reversed, S unfolds into the chain, mirrored exactly: for even N the
-    middle coupling is b = (trace S - trace A) / 2, which the two sites it
-    joins lose from their diagonal; for odd N the last coupling of S is
-    sqrt(2) times that of the chain.  The weights of the half span a few
-    nats, where those of the whole chain at its end site span hundreds and
-    underflow from N ~ 1000 on.  All of it runs on mu = lambda / 2^e, 2^e
+    mirror-end site, and a Lanczos pass on the diagonal matrix of those
+    eigenvalues started from the weight vector reads S off the recurrence
+    coefficients, from the mirror outwards.  Each step takes
+    w = mu * q_j, alpha_j = q_j . w, projects w on the complement of
+    q_0..q_j twice (twice is enough: Daniel, Gragg, Kaufman & Stewart
+    1976), which also removes the three-term part, and sets beta_j = ||w||.
+    Reversed, S unfolds into the chain (`jacobi._unfold`), mirrored
+    exactly: for even N the middle coupling is b = (trace S - trace A) / 2,
+    which the two sites it joins lose from their diagonal; for odd N the
+    last coupling of S is sqrt(2) times that of the chain.  The weights of
+    the half span a few nats, where those of the whole chain at its end
+    site span hundreds and underflow from N ~ 1000 on.  All of it runs on mu = lambda / 2^e, 2^e
     the power of 2 that brings max(1, max |lambda|) into [1/2, 1), and the
     chain is multiplied by 2^e at the end, so a spectrum spread near the
     largest double cannot overflow.  The result is validated against the
@@ -304,47 +326,28 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
 
     # the eigenvalues of S and of A, and the weights of S at its mirror-end
     # site, w_j^2 ~ |P_A(mu_j)| / |P_S'(mu_j)|, summed as logarithms
-    sym, anti = mus[(n - 1) % 2 :: 2], mus[n % 2 :: 2]
-    log_weights = np.array(
-        [np.log(np.abs(mu - anti)).sum() - np.log(np.abs(mu - np.delete(sym, j))).sum()
-         for j, mu in enumerate(sym)]
-    )
+    sym, anti = (mus[kind] for kind in _kinds(n))
+    log_weights = np.log(np.abs(np.subtract.outer(sym, anti))).sum(axis=1)
+    log_weights -= np.log(np.abs(np.subtract.outer(sym, sym)) + np.eye(sym.size)).sum(axis=1)
     weights_sq = np.exp(log_weights - log_weights.max())
-    weights_sq /= weights_sq.sum()
-    start = np.sqrt(weights_sq)
 
-    size = sym.size
-    basis = np.zeros((size, size))
-    basis[:, 0] = start
-    diag = np.empty(size)
-    off = np.empty(size - 1)
-    vector = start
-    for j in range(size):
-        work = sym * vector
-        diag[j] = float(vector @ work)
-        work = work - diag[j] * vector
-        if j > 0:
-            work = work - off[j - 1] * basis[:, j - 1]
-        for _ in range(2):  # full reorthogonalization, applied twice
-            work = work - basis[:, : j + 1] @ (basis[:, : j + 1].T @ work)
-        if j == size - 1:
-            break
-        norm = float(np.linalg.norm(work))
-        if norm <= 1e-13:
+    # Lanczos on diag(mu_j) from the weight vector, one projection applied twice
+    basis = np.zeros((sym.size, sym.size))
+    basis[:, 0] = np.sqrt(weights_sq / weights_sq.sum())
+    off = np.empty(sym.size - 1)
+    for j in range(sym.size - 1):
+        work = sym * basis[:, j]
+        for _ in range(2):
+            work -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ work)
+        off[j] = np.linalg.norm(work)
+        if off[j] <= 1e-13:
             raise DegenerateSpectrum("discrete measure collapsed during orthogonalization")
-        off[j] = norm
-        vector = work / norm
-        basis[:, j + 1] = vector
+        basis[:, j + 1] = work / off[j]
+    diag = np.einsum("ij,i,ij->j", basis, sym, basis)  # alpha_j = q_j . mu q_j
 
-    # unfold S, reversed to run from site 0 to the mirror, into the whole chain
-    diag, off = diag[::-1].copy(), off[::-1].copy()
-    if n % 2:  # S couples the middle site by sqrt(2) b_{m-1}
-        off[-1] /= math.sqrt(2)
-        diag, off = np.concatenate((diag, diag[-2::-1])), np.concatenate((off, off[::-1]))
-    else:  # S ends on a_{m-1} + b_{m-1}, and trace S - trace A = 2 b_{m-1}
-        middle = float((sym - anti).sum()) / 2
-        diag[-1] -= middle
-        diag, off = np.concatenate((diag, diag[::-1])), np.concatenate((off, [middle], off[::-1]))
+    # S, reversed to run from site 0 to the mirror, unfolds into the chain;
+    # for even n, trace S - trace A = 2 b_{m-1}
+    diag, off = _unfold(diag[::-1], off[::-1], n, float(sym.sum() - anti.sum()) / 2)
     designed = JacobiMatrix(np.ldexp(diag, e), np.ldexp(off, e))
     if not is_persymmetric(designed, 1e-10 * scale):
         raise InternalCheckFailed("designed matrix failed its persymmetry contract")

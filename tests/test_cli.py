@@ -255,6 +255,13 @@ class TestPst:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"] == "DegenerateSpectrum"
 
+    def test_design_collapsed_measure(self, runner, tmp_path):
+        spectrum = tmp_path / "collapse.json"
+        spectrum.write_text(json.dumps({"eigenvalues": [-2.0, -1e-13, 0.0, 1e-13, 2.0], "tolerance": 1e-16}))
+        result = runner.invoke(main, ["pst", "design", str(spectrum)])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "DegenerateSpectrum"
+
     def test_simulate_stdout(self, runner, files):
         result = runner.invoke(
             main,
@@ -302,6 +309,14 @@ class TestPst:
         for row in rows:
             parts = [float(cell) for cell in row.split(",")[1:-1]]
             assert abs(math.hypot(*parts) - 1.0) <= 1e-10
+
+    def test_simulate_close_pairs_of_two_kinds(self, runner, tmp_path):
+        # W21's top pair lies 7.5e-14 apart, one vector of each kind
+        matrix = tmp_path / "w21.json"
+        matrix.write_text(json.dumps(wilkinson(21).to_json_obj()))
+        result = runner.invoke(main, ["pst", "simulate", str(matrix), "--t1", "10", "--steps", "3"])
+        assert result.exit_code == 0
+        assert len(result.output.strip().splitlines()) == 4
 
     @pytest.mark.parametrize("t1", ["1e300", "1e308"])
     def test_simulate_time_beyond_phase_resolution(self, runner, tmp_path, t1):

@@ -23,8 +23,10 @@ from palinfrac.jacobi import (
     _fold,
     _folded_eigenvalues,
     _folded_eigenvectors,
+    _kinds,
     _pivots,
     _scaled,
+    _unfold,
     charpoly_check,
     eigenvalues,
     eigenvector,
@@ -551,6 +553,28 @@ class TestFold:
         assert halves.sum(axis=0).tolist() == _count_less(s, shifts).tolist() == list(range(n + 1))
         # the kinds alternate from the top down, the top one symmetric
         assert halves[0].tolist() == [(k + n % 2) // 2 for k in range(n + 1)]
+
+    @pytest.mark.parametrize("n", MIRROR_SIZES)
+    def test_unfold_inverts_the_fold(self, n):
+        # the fold rounds a_{m-1} + b_{m-1} (even n) or sqrt(2) b_{m-1} (odd n)
+        # once and the unfold once more: the scaled chain comes back within
+        # 2 ulps of its norm
+        s = _scaled(random_mirror(random.Random(4000 + n), n))
+        half = _fold(s).symmetric
+        diag, offdiag = _unfold(half.diag, half.offdiag, n, s.offdiag[n // 2 - 1])
+        bound = 2 * sys.float_info.epsilon * s.norm
+        assert np.abs(diag - s.diag).max() <= bound
+        assert np.abs(offdiag - s.offdiag).max() <= bound
+
+    @pytest.mark.parametrize("n", MIRROR_SIZES)
+    def test_kinds_are_the_counted_kinds(self, n):
+        # eigenvalue k is symmetric where the symmetric count of
+        # `test_folded_count_is_the_full_count` steps up past it
+        below = [(k + n % 2) // 2 for k in range(n + 1)]
+        symmetric = [k for k in range(n) if below[k + 1] > below[k]]
+        positions = list(range(n))
+        assert positions[_kinds(n)[0]] == symmetric
+        assert positions[_kinds(n)[1]] == [k for k in positions if k not in symmetric]
 
     def test_fold_row_keeps_the_pivot_guard(self):
         # a pivot hit exactly counts as lying below, in the fold row as in `_pivots`

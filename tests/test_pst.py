@@ -17,6 +17,7 @@ from palinfrac.errors import (
     NoOddScaling,
     NotPersymmetric,
     OutOfRange,
+    ToleranceTooLoose,
 )
 from palinfrac.jacobi import (
     JacobiMatrix,
@@ -190,16 +191,27 @@ class TestEvolve:
             norms = np.linalg.norm(trace.amplitudes, axis=1)
             assert np.abs(norms - 1.0).max() <= 1e-10
 
-    @pytest.mark.parametrize("n", [15, 16])
+    @pytest.mark.parametrize("n", [15, 16, 21, 23])
     def test_close_eigenvalue_pairs_give_unitary_trace(self, n):
         # W15 and W16 are mirrored: each close top pair is one symmetric and one
-        # antisymmetric eigenvector, orthogonal by construction on the folded path
+        # antisymmetric eigenvector, orthogonal by construction on the folded path.
+        # The top pairs of W21 and W23 lie 7.5e-14 and a few ulps apart, below
+        # the default separation of 1.1e-11, which holds within each kind only
         h = wilkinson(n)
         for t in (1.0, 10.0):
             trace = evolve(h, (t,))
             assert abs(np.linalg.norm(trace.amplitudes[0]) - 1.0) <= 1e-10
             assert np.abs(trace.amplitudes[0] - expm_amplitudes(h, t)).max() <= 1e-9
             assert 0.0 <= fidelity(h, t) <= 1.0
+
+    def test_close_pairs_stay_typed_off_the_exact_mirror(self):
+        # W31's top pair is equal in doubles, so no separation can hold; W21
+        # with a_0 moved by 1e-12 does not fold and keeps the default separation
+        with pytest.raises(ToleranceTooLoose):
+            evolve(wilkinson(31), (1.0,))
+        h = wilkinson(21)
+        with pytest.raises(ToleranceTooLoose):
+            evolve(JacobiMatrix([h.diag[0] + 1e-12, *h.diag[1:]], h.offdiag), (1.0,))
 
     def test_trace_validates_unitarity(self):
         with pytest.raises(ValueError):
@@ -300,6 +312,17 @@ class TestDesign:
         assert cert.T == pytest.approx(math.pi, rel=1e-12)
         assert fidelity(h, cert.T) >= 1.0 - 1e-8
 
+    def test_eigenvalues_too_close_for_the_weights(self):
+        # gaps of 2e-14 are 5e-15 on mu = lambda / 4, at or below 1e-14
+        with pytest.raises(DegenerateSpectrum, match="too close"):
+            design_persymmetric(Spectrum((-2.0, -2e-14, 0.0, 2e-14, 2.0), 1e-16))
+
+    def test_collapsed_measure(self):
+        # S holds -2, 0 and 2; A's eigenvalues +-1e-13 leave the middle one a
+        # squared weight of 2.5e-27, and the Lanczos basis collapses
+        with pytest.raises(DegenerateSpectrum, match="collapsed"):
+            design_persymmetric(Spectrum((-2.0, -1e-13, 0.0, 1e-13, 2.0), 1e-16))
+
 
 def equally_spaced(n: int) -> Spectrum:
     return Spectrum([k - (n - 1) / 2 for k in range(n)], 1e-9)
@@ -343,6 +366,18 @@ class TestDesignCertificate:
         h = design_persymmetric(Spectrum(lams, 1e-9))
         assert is_persymmetric(h, 0.0)
         assert np.abs(np.linalg.eigvalsh(h.dense()) - lams).max() <= 1e-12 * float(np.abs(lams).max())
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_cluster_designs(self, n, seed):
+        # the Lanczos vectors of two tight clusters lose orthogonality in
+        # one projection; the second brings them back
+        rng = np.random.default_rng(seed)
+        lams = np.sort(np.concatenate((rng.normal(-1, 1e-3, n // 2), rng.normal(1, 1e-3, n - n // 2))))
+        h = design_persymmetric(Spectrum(lams, 1e-12))
+        assert is_persymmetric(h, 0.0)
+        scale = max(1.0, float(np.abs(lams).max()))
+        assert np.abs(np.linalg.eigvalsh(h.dense()) - lams).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("k", [0, 5, 11])
     @pytest.mark.parametrize("move", [-3.0, 3.0])

@@ -7,7 +7,10 @@ Domain errors exit with status 1 and a machine-readable
 {"error": code, "detail": ...} object on stderr; usage errors exit 2.
 
 The environment variable PALINFRAC_TOL overrides the default numeric
-tolerance 1e-12 used by the spectral commands.
+tolerance 1e-12 used by the spectral commands.  For `pst verify` it is the
+relative tolerance of `verify_pst`; for `jacobi eig` and for a spectrum
+file without its own "tolerance" it stays an absolute separation, in the
+units of the eigenvalues.
 
 The float layers (and numpy with them) are imported inside the four
 commands that need them, `jacobi eig` and `pst verify|design|simulate`,

@@ -409,8 +409,10 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     b and is bit-identical to bisection.  The returned values are accurate
     to a few ulps (near 0, to the pivot guard pivmin ~ 1e-308; an
     eigenvalue within the guard is returned as +0.0) regardless of
-    ``tol``; ``tol`` (default 1e-12 scaled by the Gershgorin radius) is the
-    separation the resulting Spectrum certifies.  Raises ToleranceTooLoose
+    ``tol``; ``tol`` is the separation the resulting Spectrum certifies,
+    by default 1e-12 ||H||_inf, relative to H at every scale (1e-12 for
+    the zero 1 x 1 matrix) and at least the smallest double, 2^-1074,
+    where that product underflows.  Raises ToleranceTooLoose
     when ``tol`` exceeds the best possible eigenvalue gap or any computed
     gap fails it, and OutOfRange for an eigenvalue past the largest double.
     """
@@ -424,7 +426,7 @@ def _folded_eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     eigenvector is symmetric (`_kinds`), so eigenvalue k of H is eigenvalue
     k // 2 of its half, and its bracket counts in that half alone.  The
     results agree with those of `eigenvalues` to a few ulps of
-    max(1, ||H||_inf), as the halves round differently."""
+    ||H||_inf, as the halves round differently."""
     s = _scaled(H)
     fold = _fold(s)
     symmetric = np.zeros((H.size, 1), dtype=bool)
@@ -438,9 +440,9 @@ def _multisection(s: _Scaled, tol: float | None, index: np.ndarray, count) -> Sp
     maps an N x K array of shifts (row k those of bracket k) to the counts
     that bracket reads."""
     n = index.size
-    scale = max(s.factor, s.norm)  # max(1, ||H||_inf), scaled
-    if tol is None:
-        tol = 1e-12 * scale / s.factor
+    scale = s.norm or s.factor  # ||H||_inf, scaled; 1 for the zero matrix
+    if tol is None:  # at least the smallest double, where 1e-12 ||H||_inf underflows
+        tol = max(1e-12 * scale / s.factor, math.ulp(0.0))
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if n == 1:

@@ -28,14 +28,17 @@ That is equivalent to the exact divisibility of Q^2 - b_0^2...b_{N-1}^2 by
 P, the polynomial form of the Serret criterion; `is_palindromic_jfraction`
 computes both routes and cross-checks them.
 
-`interlacing_check` is an independent oracle for the interlacing property
-built on two exact Sturm root counts over the whole line: P has deg P
-distinct real roots and the Wronskian W = P'Q - PQ' has no real root.
-Then W > 0 (leading coefficient 1), so every residue Q(x_i)/P'(x_i) =
-W(x_i)/P'(x_i)^2 of Q/P is positive, which is strict interlacing;
-conversely interlacing gives W = P^2 * sum r_i/(x - x_i)^2 > 0.  A count
-is V(-inf) - V(+inf) on the unit-content `sturm_chain`, read off each
-element's leading sign and degree: no root bound, no evaluation.
+`interlacing_check` is an independent oracle for the interlacing property:
+the Cauchy index of Q/P over the whole line is deg P.  The index is at most
+the number of distinct real poles, so it reaches deg P exactly when P has
+deg P simple real roots x_i, none shared with Q, and every residue
+Q(x_i)/P'(x_i) is positive, which is strict interlacing.  By Sturm's
+theorem for the Cauchy index it is V(-inf) - V(+inf) on the signed
+remainder chain of (P, Q), one chain of degree deg P at unit content, read
+off each element's leading sign and degree: no root bound, no evaluation.
+The chain divides P by Q with the `poly_divmod` the expansion uses, but
+normalizes on its own terms (unit content and a sign count, against exact
+remainders and leading-coefficient tests).
 """
 
 from __future__ import annotations
@@ -216,30 +219,42 @@ def sturm_chain(p: Polynomial) -> list[Polynomial]:
 
 
 def interlacing_check(P: Polynomial, Q: Polynomial) -> bool:
-    """Independent interlacing oracle: two exact Sturm root counts.
+    """Independent interlacing oracle: the Cauchy index of Q/P.
 
-    True iff P and Q (monic, deg P = deg Q + 1) have real, simple, strictly
-    interlacing roots, which holds iff P has deg P distinct real roots and
-    the Wronskian W = P'Q - PQ' has no real root.  If P has simple real
-    roots x_i and W has none, then W > 0 (its leading coefficient is
-    n - (n - 1) = 1), so every residue Q(x_i)/P'(x_i) = W(x_i)/P'(x_i)^2 of
-    Q/P is positive, which is strict interlacing; conversely interlacing
-    gives W = P^2 * sum r_i/(x - x_i)^2 > 0 with all r_i > 0.  A shared or
-    repeated root makes W vanish at a real point.  Euclid runs only on
-    (P, P') and (W, W'); P is never divided by Q.
+    True iff P and Q (monic, deg P = deg Q + 1 = n) have real, simple,
+    strictly interlacing roots, which holds iff the Cauchy index of Q/P
+    over the whole line is n (`_cauchy_index`).  The index sums +-1 over
+    the real poles of Q/P where it jumps from -inf to +inf or back, so it
+    is at most the number of distinct real poles, itself at most n.  It is
+    n iff P has n simple real roots x_i, Q shares none of them, and every
+    residue Q(x_i)/P'(x_i) is positive; for monic P and Q of degrees n and
+    n - 1 that is strict interlacing.  One chain of degree n decides it.
+
+    The chain divides P by Q through `poly_divmod`, which `expand_jfraction`
+    also runs (via `pfraction._euclid`), so the two routes share the
+    division kernel.  They still normalize independently: here every
+    remainder is brought to unit content and only signs are counted, where
+    the expansion keeps exact remainders and tests each leading coefficient.
     """
     n = P.degree
     if not (P.is_monic and Q.is_monic) or n != Q.degree + 1 or n < 1:
         raise DegreeMismatch("interlacing_check needs monic P, Q with deg P = deg Q + 1 >= 1")
-    W = P.derivative() * Q - P * Q.derivative()
-    return _real_root_count(P) == n and _real_root_count(W) == 0
+    return _cauchy_index(P, Q) == n
 
 
 def _real_root_count(p: Polynomial) -> int:
-    """Distinct real roots of p: V(-inf) - V(+inf) on its Sturm chain, where
-    each element has the sign of its content at +inf and that sign times
-    (-1)^degree at -inf."""
-    chain = sturm_chain(p)
+    """Distinct real roots of p: the Cauchy index of p'/p, each real root
+    a pole of residue its multiplicity > 0."""
+    return _cauchy_index(p, p.derivative())
+
+
+def _cauchy_index(p: Polynomial, q: Polynomial) -> int:
+    """Cauchy index of q/p over the whole line: V(-inf) - V(+inf) on the
+    signed remainder chain of (p, q) (Sturm's theorem for the Cauchy index;
+    Basu, Pollack & Roy 2006, Thm 2.58), where each element has the sign of
+    its content at +inf and that sign times (-1)^degree at -inf: no root
+    bound, no evaluation."""
+    chain = _remainder_chain(p, q)
     at_plus = [e.content > 0 for e in chain]
     at_minus = [s != (e.degree % 2 == 1) for s, e in zip(at_plus, chain)]
     return sum(map(ne, at_minus, at_minus[1:])) - sum(map(ne, at_plus, at_plus[1:]))

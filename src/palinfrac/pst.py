@@ -40,8 +40,10 @@ construction is not taken on faith: it validates its own contract before
 returning, persymmetry entry by entry and the spectrum of the whole chain
 by a two-count certificate, one pivot count at every lambda_k - delta and
 lambda_k + delta, with no bisection.  Both the construction and the count
-run on the spectrum scaled by a power of 2 into (-1, 1), so neither can
-overflow.
+run on the spectrum scaled by the power of 2 that brings max |lambda| into
+[1/2, 1), so neither can overflow, and every threshold is relative to the
+spectrum at any scale.  Likewise every default tolerance of `verify_pst`
+and `evolve` is relative to ||H||_inf, with no floor at 1.
 """
 
 from __future__ import annotations
@@ -150,9 +152,10 @@ def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     |lambda|: beyond it neighbouring doubles lie 2 or more apart, so the
     rounding of t lambda alone can move the phase of e^{it lambda} by a
     radian.  ToleranceTooLoose is raised when two eigenvalues lie within
-    1e-12 * max(1, ||H||_inf) of each other; on a chain that folds, only
-    when both are of one kind (`jacobi._kinds`), as vectors of two kinds
-    are orthogonal by construction.
+    1e-12 * ||H||_inf of each other; on a chain that folds, only when both
+    are of one kind (`jacobi._kinds`), as vectors of two kinds are
+    orthogonal by construction.  So evolve(2^k H, t / 2^k) is
+    evolve(H, t) at every scale.
     """
     times = [float(t) for t in times]
     if not all(math.isfinite(t) for t in times):
@@ -164,9 +167,9 @@ def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     if _folds(H):
         # a symmetric and an antisymmetric vector are orthogonal however close
         # their eigenvalues lie, so only those of one kind need the default
-        # separation of `eigenvalues`, 1e-12 * max(1, ||H||_inf), here scaled
+        # separation of `eigenvalues`, 1e-12 * ||H||_inf, here scaled
         lams = np.asarray(_folded_eigenvalues(H, math.ulp(0.0)).eigenvalues)
-        separation = 1e-12 * max(s.factor, s.norm)
+        separation = 1e-12 * s.norm
         if any((np.diff(lams[kind] * s.factor) <= separation).any() for kind in _kinds(H.size)):
             raise ToleranceTooLoose(f"eigenvalues of one kind lie within {separation / s.factor:.3e}")
         basis = _folded_eigenvectors(H, lams)
@@ -237,16 +240,18 @@ def _ratio_to_fraction(ratio: float, max_denominator: int, accuracy: float) -> F
 def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
     """Decide perfect state transfer for H and return the certificate (T, phi).
 
-    Checks mirror symmetry at tolerance tol scaled by the Gershgorin
-    radius, reconstructs the gap ratios as rationals at accuracy tol,
-    reduces to the least common odd scaling (T Delta_k must be odd
-    multiples of pi), and fixes phi from the lowest eigenvalue.  For a
-    1x1 chain any T works; T = pi is the convention here.
+    Checks mirror symmetry within tol * ||H||_inf, solves the spectrum at
+    the default separation of `eigenvalues` (1e-12 * ||H||_inf),
+    reconstructs the gap ratios as rationals at accuracy tol, reduces to
+    the least common odd scaling (T Delta_k must be odd multiples of pi),
+    and fixes phi from the lowest eigenvalue.  Every tolerance is relative
+    to H, so 2^k H gives T / 2^k and the same phi.  For a 1x1 chain any T
+    works; T = pi is the convention here.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     s = _scaled(H)
-    sym_tol = tol * max(s.factor, s.norm) / s.factor  # tol * max(1, ||H||_inf)
+    sym_tol = tol * s.norm / s.factor  # tol * ||H||_inf
     if not is_persymmetric(H, sym_tol):
         raise NotPersymmetric(f"matrix is not mirror symmetric within {sym_tol:.3e}")
     spectrum = (_folded_eigenvalues if _folds(H) else eigenvalues)(H)
@@ -297,17 +302,21 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     which the two sites it joins lose from their diagonal; for odd N the
     last coupling of S is sqrt(2) times that of the chain.  The weights of
     the half span a few nats, where those of the whole chain at its end
-    site span hundreds and underflow from N ~ 1000 on.  All of it runs on mu = lambda / 2^e, 2^e
-    the power of 2 that brings max(1, max |lambda|) into [1/2, 1), and the
-    chain is multiplied by 2^e at the end, so a spectrum spread near the
-    largest double cannot overflow.  The result is validated against the
-    contract (persymmetry within 1e-10, eigenvalues within delta = 1e-8,
-    both scaled by max(1, max |lambda|)); InternalCheckFailed names the
-    first index that fails.
+    site span hundreds and underflow from N ~ 1000 on.  All of it runs on
+    mu = lambda / 2^e, 2^e the power of 2 that brings max |lambda| into
+    [1/2, 1), and the chain is multiplied by 2^e at the end, so a spectrum
+    spread near the largest double cannot overflow and the design of
+    2^k lambda is 2^k times that of lambda.  The result is validated
+    against the contract (persymmetry within 1e-10, eigenvalues within
+    delta = 1e-8, both times max |lambda|); InternalCheckFailed names the
+    first index that fails.  Entries that fall below the normal doubles
+    round, which can move an eigenvalue by up to 1.5 * 2^-1074; where
+    delta is below twice 2^-1074 (max |lambda| below about 1e-315) that
+    alone can miss the contract, so a miss there is OutOfRange.
 
     The eigenvalues are certified, not recomputed: one Sturm count of the
-    mu-chain (`_scaled` gives it the pivots of the returned chain) at the
-    2N shifts mu_k -+ d, d = delta / 2^e, which cannot overflow.
+    returned chain, brought back to mu units by 2^-e (exactly), at the 2N
+    shifts mu_k -+ d, d = delta / 2^e, which cannot overflow.
     count(mu_k - d) <= k says that at most k eigenvalues lie below
     lambda_k - delta, and k < count(mu_k + d) that at least k + 1 lie below
     lambda_k + delta, so the k-th eigenvalue lies in [lambda_k - delta,
@@ -318,7 +327,7 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     n = lams.size
     if n == 1:
         return JacobiMatrix((float(lams[0]),))
-    scale = max(1.0, float(np.abs(lams).max()))
+    scale = float(np.abs(lams).max())  # > 0, as n >= 2
     e = math.frexp(scale)[1]
     mus = np.ldexp(lams, -e)  # in (-1, 1): gaps, weights and Lanczos cannot overflow
     if float(np.diff(mus).min()) <= 1e-14:
@@ -352,12 +361,17 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     if not is_persymmetric(designed, 1e-10 * scale):
         raise InternalCheckFailed("designed matrix failed its persymmetry contract")
     delta = 1e-8 * scale
+    # the chain as returned, rounded where it lies below the normal doubles, in mu units again
+    diag, off = np.ldexp(designed.diag, -e), np.ldexp(designed.offdiag, -e)
     below, above = _count_less(_scaled(JacobiMatrix(diag, off)), mus + np.ldexp([[-delta], [delta]], -e))
     index = np.arange(n)
     missed = np.flatnonzero((below > index) | (above <= index))
     if missed.size:
         k = int(missed[0])
-        raise InternalCheckFailed(
+        # rounding the chain into doubles moves an eigenvalue by up to 1.5 * 2^-1074,
+        # more than a delta that small can absorb
+        error = InternalCheckFailed if delta >= 2 * math.ulp(0.0) else OutOfRange
+        raise error(
             f"designed matrix failed its spectrum contract at eigenvalue {k}: "
             f"{below[k]} eigenvalues lie below {lams[k]:.17g} - {delta:.3e} and {above[k]} "
             f"below {lams[k]:.17g} + {delta:.3e}, where at most {k} and more than {k} are due"

@@ -262,6 +262,23 @@ class TestPst:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"] == "DegenerateSpectrum"
 
+    def test_chain_in_small_units(self, runner, tmp_path):
+        # the 5-site Krawtchouk chain times 1e-13: T = pi * 1e13, fidelity 1 there
+        chain = tmp_path / "k5.json"
+        offdiag = [1e-13 * math.sqrt((k + 1) * (4 - k)) / 2 for k in range(4)]
+        chain.write_text(json.dumps({"diag": [0.0] * 5, "offdiag": offdiag}))
+        payload = out_json(runner.invoke(main, ["pst", "verify", str(chain)]))
+        assert payload["T"] == pytest.approx(math.pi * 1e13, rel=1e-12)
+        result = runner.invoke(main, ["pst", "simulate", str(chain), "--t1", "31415926535897.93", "--steps", "2"])
+        assert result.exit_code == 0
+        assert float(result.output.split()[-1].split(",")[-1]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_design_in_small_units(self, runner, tmp_path):
+        spectrum = tmp_path / "small.json"
+        spectrum.write_text(json.dumps({"eigenvalues": [-2e-14, -1e-14, 0, 1e-14, 2e-14], "tolerance": 1e-27}))
+        matrix = JacobiMatrix.from_json_obj(out_json(runner.invoke(main, ["pst", "design", str(spectrum)])))
+        assert matrix.offdiag == pytest.approx([1e-14 * math.sqrt((k + 1) * (4 - k)) / 2 for k in range(4)], rel=1e-12)
+
     def test_simulate_stdout(self, runner, files):
         result = runner.invoke(
             main,

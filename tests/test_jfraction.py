@@ -4,6 +4,7 @@ import importlib
 import pickle
 import random
 from fractions import Fraction
+from operator import ne
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from genutil import (
     noninterlacing_pair,
     poly_from_roots,
     rand_fraction,
+    rand_positive_fraction,
     random_jfraction,
     random_nonpalindromic_jfraction,
     random_palindromic_jfraction,
@@ -21,6 +23,7 @@ from palinfrac import pfraction
 from palinfrac.errors import DegreeMismatch, NotInterlacing
 from palinfrac.jfraction import (
     JFraction,
+    _cauchy_index,
     _real_root_count,
     chebyshev_jfraction,
     expand_jfraction,
@@ -528,6 +531,92 @@ class TestInterlacingCheck:
         assert interlacing_check((X2M1 * chebyshev_u(63)).monic(), chebyshev_t(64).monic())
         assert interlacing_check(*interlacing_pair(random.Random(5), 24))
         assert not interlacing_check(*noninterlacing_pair(random.Random(5), 24))
+
+
+def _recurrence_pair(a, b2):
+    """(P, Q) of the J-fraction a, b2 by the plain three-term recurrence, with
+    no check on b2, so a coupling may be negative."""
+    steps = [(Polynomial((-ak, 1)), -bk) for ak, bk in zip(a, (1, *b2))]
+    return three_term(steps, (ZERO, ONE))[-1], three_term(steps, (-ONE, ZERO))[-1]
+
+
+def _wronskian_oracle(P, Q):
+    """The interlacing oracle as two Sturm counts: P has deg P distinct real
+    roots and the Wronskian W = P'Q - PQ' has none (then W > 0, so every
+    residue Q(x_i)/P'(x_i) = W(x_i)/P'(x_i)^2 is positive).  Each count is
+    V(-inf) - V(+inf) on `sturm_chain`, read off leading signs and degrees."""
+
+    def real_roots(p):
+        chain = sturm_chain(p)
+        at_plus = [e.content > 0 for e in chain]
+        at_minus = [s != (e.degree % 2 == 1) for s, e in zip(at_plus, chain)]
+        return sum(map(ne, at_minus, at_minus[1:])) - sum(map(ne, at_plus, at_plus[1:]))
+
+    W = P.derivative() * Q - P * Q.derivative()
+    return real_roots(P) == P.degree and real_roots(W) == 0
+
+
+def _random_pair(rng, kind, n):
+    """Monic (P, Q), deg P = n <= 9, of one of five kinds."""
+    if kind == "lattice":  # roots on a coarse lattice, repeats and shared roots included
+        roots = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(2 * n - 1)]
+        return poly_from_roots(roots[:n]), poly_from_roots(roots[n:])
+    if kind == "coefficients":
+        return tuple(Polynomial([*(rng.randint(-5, 5) for _ in range(k)), 1]) for k in (n, n - 1))
+    points = sorted(Fraction(v, 2) for v in rng.sample(range(-24, 25), 2 * n - 1))
+    p_roots, q_roots = points[0::2], points[1::2]
+    if kind == "tie" and q_roots:  # one root of Q moved onto a neighbouring root of P
+        k = rng.randrange(n - 1)
+        q_roots[k] = p_roots[k + rng.randint(0, 1)]
+    if kind == "quadratic" and n >= 2:  # two roots of P traded for an irreducible quadratic factor
+        centre = p_roots[0]
+        quadratic = (X - Polynomial((centre,))) ** 2 + Polynomial((Fraction(rng.randint(1, 9), 4),))
+        return poly_from_roots(p_roots[2:]) * quadratic, poly_from_roots(q_roots)
+    return poly_from_roots(p_roots), poly_from_roots(q_roots)
+
+
+class TestCauchyIndex:
+    def test_examples(self):
+        assert _cauchy_index(X, ONE) == 1  # 1/x
+        assert _cauchy_index(X, -ONE) == -1  # -1/x
+        assert _cauchy_index(X**2, ONE) == 0  # 1/x^2 does not change sign at 0
+        assert _cauchy_index(X * (X - ONE), X - ONE) == 1  # (x - 1)/(x(x - 1)) = 1/x
+
+    def test_agrees_with_wronskian_and_expansion_on_random_pairs(self):
+        rng = random.Random(16)
+        kinds = ("lattice", "coefficients", "interlacing", "tie", "quadratic")
+        seen = collections.Counter()
+        for k in range(1200):
+            kind = kinds[k % len(kinds)]
+            p, q = _random_pair(rng, kind, rng.randint(1, 9))
+            verdict = interlacing_check(p, q)
+            assert verdict is _wronskian_oracle(p, q), (kind, p, q)
+            try:
+                expand_jfraction(q, p)
+                expanded = True
+            except NotInterlacing:
+                expanded = False
+            assert expanded is verdict, (kind, p, q)
+            seen[kind, verdict] += 1
+        assert seen["interlacing", False] == 0
+        assert sum(seen[kind, True] for kind in kinds) >= 300
+        assert all(seen[kind, False] >= 50 for kind in ("lattice", "coefficients", "tie", "quadratic"))
+
+    @pytest.mark.parametrize("levels", [32, 64, 128])
+    def test_small_rational_jfractions_at_size(self, levels):
+        # the Wronskian of these pairs has degree 2 levels - 2; its Sturm chain
+        # reached 12377 coefficient bits at 32 levels
+        rng = random.Random(levels)
+        for _ in range(2):
+            a = [rand_fraction(rng, 9) for _ in range(levels)]
+            b2 = [rand_positive_fraction(rng, 9) for _ in range(levels - 1)]
+            q, p, _ = jfraction_to_rational(JFraction(a, b2))
+            assert interlacing_check(p, q)
+            b2[rng.randrange(levels - 1)] *= -1  # no longer a J-fraction
+            p, q = _recurrence_pair(a, b2)
+            assert not interlacing_check(p, q)
+            with pytest.raises(NotInterlacing):
+                expand_jfraction(q, p)
 
 
 def _random_monic(rng, deg):

@@ -12,6 +12,7 @@ import palinfrac.pst as pst_module
 from genutil import krawtchouk, perturb_asymmetric, random_jacobi, random_mirror, random_persymmetric, wilkinson
 from palinfrac.errors import (
     DegenerateSpectrum,
+    PalinfracError,
     IncommensurableSpectrum,
     InternalCheckFailed,
     NoOddScaling,
@@ -503,6 +504,85 @@ class TestKrawtchoukScale:
         h = design_persymmetric(Spectrum([k - (n - 1) / 2 for k in range(n)], 1e-9))
         assert np.abs(np.asarray(h.offdiag) - krawtchouk(n).offdiag).max() <= 1e-9
         assert verify_pst(h).T == pytest.approx(math.pi, abs=1e-10)
+
+
+
+def scaled_by_power_of_two(h: JacobiMatrix, k: int) -> JacobiMatrix:
+    """2^k H, rounded where it falls below the normal doubles."""
+    return JacobiMatrix(np.ldexp(h.diag, k), np.ldexp(h.offdiag, k))
+
+
+def krawtchouk_spectrum(n: int, k: int) -> Spectrum:
+    """The Krawtchouk spectrum times 2^k (exact), at the finest separation."""
+    return Spectrum(np.ldexp(np.arange(n) - (n - 1) / 2, k), math.ulp(0.0))
+
+
+@pytest.mark.filterwarnings("error")
+class TestScaleFree:
+    """The float layers are equivariant under H -> 2^k H: their default
+    tolerances are relative to the chain or spectrum, with no floor at 1."""
+
+    @pytest.mark.parametrize("k", [-1000, -500, -40, 0, 40, 500, 900, 1020])
+    @pytest.mark.parametrize("n", [5, 16, 17])
+    def test_power_of_two_equivariance(self, n, k):
+        h, h_k = krawtchouk(n), scaled_by_power_of_two(krawtchouk(n), k)
+        assert eigenvalues(h_k).eigenvalues == tuple(np.ldexp(eigenvalues(h).eigenvalues, k))
+        cert, cert_k = verify_pst(h), verify_pst(h_k)
+        assert (cert_k.T, cert_k.phi) == (math.ldexp(cert.T, -k), cert.phi)
+        designed = design_persymmetric(krawtchouk_spectrum(n, 0))
+        assert design_persymmetric(krawtchouk_spectrum(n, k)) == scaled_by_power_of_two(designed, k)
+        times = (0.0, 1.0, math.pi / 2, math.pi)
+        trace, trace_k = evolve(h, times), evolve(h_k, np.ldexp(times, -k))
+        assert np.abs(trace_k.amplitudes - trace.amplitudes).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [-1040, -1060, -1070])
+    @pytest.mark.parametrize("n", [5, 16, 17])
+    def test_below_the_normal_doubles_results_meet_their_contract_or_errors_are_typed(self, n, k):
+        # 2^k H rounds in the subnormals; 2^1100 brings the stored chain back exactly
+        up = 1100
+        h = scaled_by_power_of_two(krawtchouk(n), k)
+        h_up = scaled_by_power_of_two(h, up)
+        # the default separation 1e-12 ||H|| underflows and stops at the smallest double
+        spectrum = eigenvalues(h)
+        assert spectrum.tolerance == math.ulp(0.0)
+        found = spectrum.eigenvalues
+        assert np.abs(np.ldexp(found, up) - eigenvalues(h_up).eigenvalues).max() <= 2 * math.ldexp(math.ulp(0.0), up)
+        try:
+            cert = verify_pst(h)
+            assert cert.spectrum.eigenvalues == found
+            assert check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, 1e-8 * (1 + cert.T * max(map(abs, found))))
+        except PalinfracError as exc:
+            assert not isinstance(exc, InternalCheckFailed)
+        times = (0.0, 1e300, 2.0**1023)
+        try:
+            amplitudes = evolve(h, times).amplitudes
+            assert np.abs(amplitudes - evolve(h_up, np.ldexp(times, -up)).amplitudes).max() <= 1e-8
+        except PalinfracError as exc:
+            assert not isinstance(exc, InternalCheckFailed)
+        spectrum = krawtchouk_spectrum(n, k)
+        try:
+            designed = design_persymmetric(spectrum)
+            assert is_persymmetric(designed, 0.0)
+            lams = np.ldexp(spectrum.eigenvalues, up)
+            found_up = eigenvalues(scaled_by_power_of_two(designed, up)).eigenvalues
+            assert np.abs(np.asarray(found_up) - lams).max() <= 1e-8 * np.abs(lams).max()
+        except PalinfracError as exc:
+            assert not isinstance(exc, InternalCheckFailed)
+
+    def test_subnormal_two_site_chain(self):
+        spectrum = eigenvalues(JacobiMatrix((1e-310, 0.0), (1e-310,)))
+        golden = (0.5 - math.sqrt(1.25)) * 1e-310, (0.5 + math.sqrt(1.25)) * 1e-310
+        assert np.abs(np.asarray(spectrum.eigenvalues) - golden).max() <= 4 * math.ulp(0.0)
+        assert spectrum.tolerance == pytest.approx(1e-12 * 2e-310, abs=math.ulp(0.0))  # 1e-12 ||H||_inf
+
+    @pytest.mark.parametrize("k", [-1060, -1070])
+    def test_design_contract_below_the_smallest_double_is_out_of_range(self, k):
+        # 1e-8 max |lambda| underflows: rounding the chain into doubles alone can miss it
+        with pytest.raises(OutOfRange, match="spectrum contract"):
+            design_persymmetric(krawtchouk_spectrum(5, k))
+
+    def test_one_site_zero_matrix_keeps_scale_one(self):
+        assert eigenvalues(JacobiMatrix((0.0,))).tolerance == 1e-12
 
 
 class TestPhaseCheck:

@@ -33,10 +33,15 @@ which alternate from the top down.  The halves share every pivot row but
 one, so a folded count (`_count_folded`) tabulates about N / 2 rows for
 the shifts of both and adds one fold row; the multisection runs unchanged
 on it, each bracket counting in its own half (`_kinds` places the kinds
-in the spectrum).  The private folded solvers serve the state-transfer
-layer, as does `_unfold`, the inverse of `_fold`, which builds the chain
-from its symmetric half for the design; `eigenvalues` itself always
-counts the whole matrix, bit-identical to bisection.
+in the spectrum).  The decision to fold is made here alone: `_prepare`
+scales a chain once and folds it when it is an exact mirror of two or
+more sites, and the spectrum (`_spectrum`) and eigenbasis (`_eigenbasis`)
+of the state-transfer layer take the prepared chain, whole or folded.
+The eigenbasis asks one separation, 1e-12 ||H||_inf, of two eigenvalues
+whose vectors are not orthogonal by construction: on a whole chain any
+two, on a fold two of one kind.  `_unfold`, the inverse of `_fold`,
+builds the chain from its symmetric half for the design; `eigenvalues`
+itself always counts the whole matrix, bit-identical to bisection.
 
 Everything in this module runs in 64-bit floating point; exact rationals
 enter only through the explicit conversion in `from_jfraction`.
@@ -416,30 +421,36 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     when ``tol`` exceeds the best possible eigenvalue gap or any computed
     gap fails it, and OutOfRange for an eigenvalue past the largest double.
     """
+    return _spectrum((_scaled(H), None), tol)
+
+
+def _prepare(H: JacobiMatrix) -> tuple[_Scaled, _Fold | None]:
+    """The scaled form of H, and its fold when H is an exact mirror of two
+    or more sites; any other chain, one mirrored only within a tolerance
+    too, is solved whole.  The state-transfer layer prepares each chain
+    once and hands the pair to `_spectrum` and `_eigenbasis`."""
     s = _scaled(H)
-    return _multisection(s, tol, np.arange(H.size), lambda x: _count_less(s, x))
+    return s, _fold(s) if H.size > 1 and is_persymmetric(H, 0.0) else None
 
 
-def _folded_eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
-    """`eigenvalues` of a persymmetric H of two or more sites, solved on
-    its two half chains (`_Fold`).  The kinds alternate and the top
-    eigenvector is symmetric (`_kinds`), so eigenvalue k of H is eigenvalue
-    k // 2 of its half, and its bracket counts in that half alone.  The
-    results agree with those of `eigenvalues` to a few ulps of
-    ||H||_inf, as the halves round differently."""
-    s = _scaled(H)
-    fold = _fold(s)
-    symmetric = np.zeros((H.size, 1), dtype=bool)
-    symmetric[_kinds(H.size)[0]] = True
-    return _multisection(s, tol, np.arange(H.size) // 2, lambda x: _count_folded(fold, x, symmetric))
+def _spectrum(prepared: tuple[_Scaled, _Fold | None], tol: float | None = None) -> Spectrum:
+    """The multisection of `eigenvalues` on a chain from `_prepare`.
 
-
-def _multisection(s: _Scaled, tol: float | None, index: np.ndarray, count) -> Spectrum:
-    """The multisection of `eigenvalues` on the scaled matrix s: bracket k
-    holds the eigenvalue that count(x)[k] passes index[k] at, where count
-    maps an N x K array of shifts (row k those of bracket k) to the counts
-    that bracket reads."""
-    n = index.size
+    Bracket k holds the eigenvalue that count(x)[k] passes index[k] at,
+    where count maps an N x K array of shifts (row k those of bracket k)
+    to the counts that bracket reads.  On a fold the kinds alternate and
+    the top eigenvector is symmetric (`_kinds`), so eigenvalue k of H is
+    eigenvalue k // 2 of its half, and its bracket counts in that half
+    alone; the results agree with those of the whole chain to a few ulps
+    of ||H||_inf, as the halves round differently.
+    """
+    s, fold = prepared
+    n = len(s.diag)
+    index, count = np.arange(n), lambda x: _count_less(s, x)
+    if fold is not None:
+        symmetric = np.zeros((n, 1), dtype=bool)
+        symmetric[_kinds(n)[0]] = True
+        index, count = index // 2, lambda x: _count_folded(fold, x, symmetric)
     scale = s.norm or s.factor  # ||H||_inf, scaled; 1 for the zero matrix
     if tol is None:  # at least the smallest double, where 1e-12 ||H||_inf underflows
         tol = max(1e-12 * scale / s.factor, math.ulp(0.0))
@@ -526,8 +537,7 @@ def _eigenvectors(s: _Scaled, lams: np.ndarray) -> np.ndarray:
     outside = (lams < (s.lo - bound) / s.factor) | (lams > (s.hi + bound) / s.factor)
     if outside.any():
         raise NotAnEigenvalue(
-            f"{float(lams[outside][0])!r} lies more than 1e-8 * ||H|| = {bound / s.factor:.3e} "
-            "outside the Gershgorin interval"
+            f"{float(lams[outside][0])!r} lies more than 1e-8 * ||H||_inf outside the Gershgorin interval"
         )
     lams = lams * s.factor
     n = len(s.diag)
@@ -555,22 +565,33 @@ def _eigenvectors(s: _Scaled, lams: np.ndarray) -> np.ndarray:
     residual[1:] += off[:, None] * vectors[:-1]
     worst = float(np.sqrt(np.einsum("ij,ij->j", residual, residual)).max())
     if not worst <= bound:
-        raise NotAnEigenvalue(
-            f"residual {worst / s.factor:.3e} exceeds 1e-8 * ||H|| = {bound / s.factor:.3e}"
-        )
+        raise NotAnEigenvalue(f"residual {worst / s.norm:.3e} * ||H||_inf exceeds 1e-8 * ||H||_inf")
     return vectors
 
 
-def _folded_eigenvectors(H: JacobiMatrix, lams) -> np.ndarray:
-    """`eigenvectors` of a persymmetric H of two or more sites at all its
-    eigenvalues lams, ascending: those of its half chains S and A
+def _eigenbasis(prepared: tuple[_Scaled, _Fold | None], lams) -> np.ndarray:
+    """`eigenvectors` of a chain from `_prepare` at all its eigenvalues
+    lams, ascending.  On a fold they are those of its half chains S and A
     (`_Fold`), each with its own residual check, unfolded to
-    (u, +-Ju) / sqrt(2).  A symmetric and an antisymmetric vector are
-    orthogonal by construction, however close their eigenvalues."""
-    n, m = H.size, H.size // 2
-    fold = _fold(_scaled(H))
+    (u, +-Ju) / sqrt(2).
+
+    Raises ToleranceTooLoose when two eigenvalues whose vectors are not
+    orthogonal by construction lie within 1e-12 ||H||_inf, the default
+    separation of `eigenvalues`: on a whole chain any two, on a fold two
+    of one kind, as a symmetric and an antisymmetric vector are orthogonal
+    however close their eigenvalues lie.
+    """
+    s, fold = prepared
+    n, m = len(s.diag), len(s.diag) // 2
     lams = np.asarray(lams, dtype=float)
-    symmetric, antisymmetric = _kinds(n)
+    kinds = (slice(None),) if fold is None else _kinds(n)
+    if any((np.diff(lams[kind] * s.factor) <= 1e-12 * s.norm).any() for kind in kinds):
+        raise ToleranceTooLoose(
+            f"eigenvalues{'' if fold is None else ' of one kind'} lie within 1e-12 * ||H||_inf of each other"
+        )
+    if fold is None:
+        return _eigenvectors(s, lams)
+    symmetric, antisymmetric = kinds
     u = _eigenvectors(fold.symmetric, lams[symmetric])
     w = _eigenvectors(fold.antisymmetric, lams[antisymmetric])
     vectors = np.zeros((n, lams.size))

@@ -14,15 +14,16 @@ returns the minimal admissible T together with phi normalized into
 [0, 2 pi).  The spectrum is recomputed from H, and the certificate is
 checked against the phase condition before it is returned.
 
-A chain that is mirrored exactly (`is_persymmetric(H, 0.0)`, two or more
-sites) folds: its eigenvectors are symmetric or antisymmetric, and each
-kind is that of a half chain, S or A, of about N / 2 sites (Cantoni &
-Butler 1976; `jacobi._Fold`).  `verify_pst` and `evolve` then count the
-eigenvalues of both halves in one pivot table of half the rows, and
-`evolve` unfolds the eigenvectors of the halves, so a symmetric and an
-antisymmetric vector are orthogonal however close their eigenvalues lie;
-only eigenvalues of one kind must keep the default separation apart.
-Any other chain, one mirrored only within a tolerance too, is solved whole.
+`verify_pst` and `evolve` prepare each chain once (`jacobi._prepare`)
+and take it as `jacobi` hands it over; they do not branch on its shape.
+`jacobi` folds a chain that is mirrored exactly (`is_persymmetric(H, 0.0)`,
+two or more sites): its eigenvectors are symmetric or antisymmetric, and
+each kind is that of a half chain, S or A, of about N / 2 sites (Cantoni
+& Butler 1976; `jacobi._Fold`).  The eigenvalues of both halves are then
+counted in one pivot table of half the rows, and the eigenvectors of the
+halves are unfolded, so a symmetric and an antisymmetric vector are
+orthogonal however close their eigenvalues lie.  Any other chain, one
+mirrored only within a tolerance too, is solved whole.
 
 `design_persymmetric` inverts the problem on the half: given a prescribed
 spectrum it splits it into the eigenvalues of S and of A (`jacobi._kinds`:
@@ -68,13 +69,12 @@ from .jacobi import (
     JacobiMatrix,
     Spectrum,
     _count_less,
-    _folded_eigenvalues,
-    _folded_eigenvectors,
+    _eigenbasis,
     _kinds,
+    _prepare,
     _scaled,
+    _spectrum,
     _unfold,
-    eigenvalues,
-    eigenvectors,
     is_persymmetric,
 )
 from .numeric_cf import convergents, expand_euclid
@@ -151,43 +151,30 @@ def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     max |t| * ||H|| exceeds 2^53, with ||H|| the Gershgorin bound on every
     |lambda|: beyond it neighbouring doubles lie 2 or more apart, so the
     rounding of t lambda alone can move the phase of e^{it lambda} by a
-    radian.  ToleranceTooLoose is raised when two eigenvalues lie within
-    1e-12 * ||H||_inf of each other; on a chain that folds, only when both
-    are of one kind (`jacobi._kinds`), as vectors of two kinds are
-    orthogonal by construction.  So evolve(2^k H, t / 2^k) is
-    evolve(H, t) at every scale.
+    radian.  One separation rule holds: ToleranceTooLoose is raised when
+    two eigenvalues whose eigenvectors are not orthogonal by construction
+    lie within 1e-12 * ||H||_inf of each other (`jacobi._eigenbasis`).
+    On a chain solved whole that is any two; on an exact mirror, which
+    `jacobi` folds, two of one kind (`jacobi._kinds`), as a symmetric and
+    an antisymmetric vector are orthogonal however close their
+    eigenvalues lie.  So evolve(2^k H, t / 2^k) is evolve(H, t) at every
+    scale.
     """
     times = [float(t) for t in times]
     if not all(math.isfinite(t) for t in times):
         raise ValueError("evolve needs finite times")
-    s = _scaled(H)
+    s, _ = prepared = _prepare(H)
     reach = max(map(abs, times), default=0.0) / s.factor * s.norm
     if reach > 2.0**53:
         raise OutOfRange(f"max |t| * ||H|| = {reach:.3e} exceeds 2^53: phases lost to rounding")
-    if _folds(H):
-        # a symmetric and an antisymmetric vector are orthogonal however close
-        # their eigenvalues lie, so only those of one kind need the default
-        # separation of `eigenvalues`, 1e-12 * ||H||_inf, here scaled
-        lams = np.asarray(_folded_eigenvalues(H, math.ulp(0.0)).eigenvalues)
-        separation = 1e-12 * s.norm
-        if any((np.diff(lams[kind] * s.factor) <= separation).any() for kind in _kinds(H.size)):
-            raise ToleranceTooLoose(f"eigenvalues of one kind lie within {separation / s.factor:.3e}")
-        basis = _folded_eigenvectors(H, lams)
-    else:
-        lams = np.asarray(eigenvalues(H).eigenvalues)
-        basis = eigenvectors(H, lams)
+    # the spectrum certifies no separation: `_eigenbasis` asks the one its vectors need
+    lams = np.asarray(_spectrum(prepared, math.ulp(0.0)).eigenvalues)
+    basis = _eigenbasis(prepared, lams)
     amplitudes = (np.exp(1j * np.multiply.outer(times, lams)) * basis[0]) @ basis.T
     try:
         return AmplitudeTrace(times, amplitudes)
     except ValueError as exc:  # eigenvectors of close eigenvalue pairs of a chain that does not fold
         raise InternalCheckFailed(f"evolve: {exc}") from exc
-
-
-def _folds(H: JacobiMatrix) -> bool:
-    """Whether H is an exact mirror of two or more sites, solved on its two
-    half chains; any other chain, one mirrored only within a tolerance
-    too, takes the full path."""
-    return H.size > 1 and is_persymmetric(H, 0.0)
 
 
 def fidelity(H: JacobiMatrix, t: float) -> float:
@@ -250,11 +237,11 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    s = _scaled(H)
+    s, _ = prepared = _prepare(H)
     sym_tol = tol * s.norm / s.factor  # tol * ||H||_inf
     if not is_persymmetric(H, sym_tol):
         raise NotPersymmetric(f"matrix is not mirror symmetric within {sym_tol:.3e}")
-    spectrum = (_folded_eigenvalues if _folds(H) else eigenvalues)(H)
+    spectrum = _spectrum(prepared)
     lams = spectrum.eigenvalues
     top = len(lams) - 1
     if top == 0:

@@ -335,6 +335,19 @@ class TestPst:
         assert result.exit_code == 0
         assert len(result.output.strip().splitlines()) == 4
 
+    def test_simulate_below_the_normal_doubles(self, runner, tmp_path):
+        # the 5-site Krawtchouk chain times 2^-1060: a typed failure whose
+        # numbers are stated relative to ||H||_inf (in absolute units both
+        # underflow to 0.000e+00)
+        chain = tmp_path / "k5tiny.json"
+        offdiag = [math.ldexp(math.sqrt((k + 1) * (4 - k)) / 2, -1060) for k in range(4)]
+        chain.write_text(json.dumps({"diag": [0.0] * 5, "offdiag": offdiag}))
+        result = runner.invoke(main, ["pst", "simulate", str(chain), "--t1", "1", "--steps", "2"])
+        assert result.exit_code == 1
+        error = json.loads(result.stderr)
+        assert error["error"] == "NotAnEigenvalue"
+        assert "0.000e+00" not in error["detail"]
+
     @pytest.mark.parametrize("t1", ["1e300", "1e308"])
     def test_simulate_time_beyond_phase_resolution(self, runner, tmp_path, t1):
         matrix = tmp_path / "two.json"

@@ -20,12 +20,13 @@ from palinfrac.jacobi import (
     Spectrum,
     _count_folded,
     _count_less,
+    _eigenbasis,
     _fold,
-    _folded_eigenvalues,
-    _folded_eigenvectors,
     _kinds,
     _pivots,
+    _prepare,
     _scaled,
+    _spectrum,
     _unfold,
     charpoly_check,
     eigenvalues,
@@ -538,6 +539,13 @@ class TestMultisection:
 MIRROR_SIZES = [*range(2, 66), 256]
 
 
+def folding(h: JacobiMatrix):
+    """The chain prepared by `_prepare`, which must fold it."""
+    prepared = _prepare(h)
+    assert prepared[1] is not None
+    return prepared
+
+
 class TestFold:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", MIRROR_SIZES)
@@ -590,13 +598,14 @@ class TestFold:
         lo, hi = gershgorin_interval(h)
         bound = 8 * sys.float_info.epsilon * max(1.0, abs(lo), abs(hi))
         full = np.asarray(eigenvalues(h).eigenvalues)
-        assert np.abs(np.asarray(_folded_eigenvalues(h).eigenvalues) - full).max() <= bound
+        assert np.abs(np.asarray(_spectrum(folding(h)).eigenvalues) - full).max() <= bound
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 256])
     def test_unfolded_vectors_are_eigenvectors(self, n):
         h = random_mirror(random.Random(3000 + n), n)
-        lams = np.asarray(_folded_eigenvalues(h).eigenvalues)
-        basis = _folded_eigenvectors(h, lams)
+        prepared = folding(h)
+        lams = np.asarray(_spectrum(prepared).eigenvalues)
+        basis = _eigenbasis(prepared, lams)
         scale = max(1.0, float(np.abs(h.dense()).sum(axis=1).max()))
         assert np.abs(h.dense() @ basis - basis * lams).max() <= 1e-12 * scale
         assert np.abs(basis - eigenvectors(h, lams)).max() <= 1e-8  # the same signs: first entry > 0
@@ -609,7 +618,8 @@ class TestFold:
     def test_unfolded_krawtchouk_basis_is_orthonormal(self):
         n = 1024
         h = krawtchouk(n)
-        basis = _folded_eigenvectors(h, _folded_eigenvalues(h).eigenvalues)
+        prepared = folding(h)
+        basis = _eigenbasis(prepared, _spectrum(prepared).eigenvalues)
         assert np.linalg.norm(basis.T @ basis - np.eye(n)) <= 1e-12
 
     @pytest.mark.filterwarnings("error")
@@ -617,9 +627,10 @@ class TestFold:
     def test_chain_near_the_largest_double(self, h):
         # sqrt(2) b_{m-1}, 2 b_{m-1}^2 and a_{m-1} + b_{m-1} are taken in the scaled units
         full = np.asarray(eigenvalues(h).eigenvalues)
-        folded = np.asarray(_folded_eigenvalues(h).eigenvalues)
+        prepared = folding(h)
+        folded = np.asarray(_spectrum(prepared).eigenvalues)
         assert np.abs(folded - full).max() <= 8 * sys.float_info.epsilon * np.abs(full).max()
-        basis = _folded_eigenvectors(h, folded)
+        basis = _eigenbasis(prepared, folded)
         assert np.abs(basis.T @ basis - np.eye(h.size)).max() <= 1e-15
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import palinfrac.jacobi as jacobi_module
 import palinfrac.pst as pst_module
 from genutil import krawtchouk, perturb_asymmetric, random_jacobi, random_mirror, random_persymmetric, wilkinson
 from palinfrac.errors import (
@@ -16,6 +17,7 @@ from palinfrac.errors import (
     IncommensurableSpectrum,
     InternalCheckFailed,
     NoOddScaling,
+    NotAnEigenvalue,
     NotPersymmetric,
     OutOfRange,
     ToleranceTooLoose,
@@ -23,7 +25,9 @@ from palinfrac.errors import (
 from palinfrac.jacobi import (
     JacobiMatrix,
     Spectrum,
+    _unfold,
     eigenvalues,
+    eigenvectors,
     is_persymmetric,
     normalized_poly_sequence,
 )
@@ -138,8 +142,9 @@ class TestFoldedPath:
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17])
     def test_exact_mirror_folds(self, n, monkeypatch):
+        # `jacobi._prepare` folds the chain, and its spectrum is counted on the halves
         h = random_mirror(random.Random(n), n)
-        monkeypatch.setattr(pst_module, "_folded_eigenvalues", self.sentinel)
+        monkeypatch.setattr(jacobi_module, "_count_folded", self.sentinel)
         with pytest.raises(AssertionError, match="folded path"):
             verify_pst(h)
         with pytest.raises(AssertionError, match="folded path"):
@@ -147,14 +152,38 @@ class TestFoldedPath:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17])
     def test_chain_mirrored_within_tol_takes_the_full_path(self, n, monkeypatch):
-        monkeypatch.setattr(pst_module, "_folded_eigenvalues", self.sentinel)
-        monkeypatch.setattr(pst_module, "_folded_eigenvectors", self.sentinel)
+        monkeypatch.setattr(jacobi_module, "_fold", self.sentinel)
+        monkeypatch.setattr(jacobi_module, "_count_folded", self.sentinel)
         h = krawtchouk(n)  # a single site has no halves
         if n > 1:  # one end site moved by 1e-15: mirrored within tol, not exactly
             h = JacobiMatrix([1e-15, *h.diag[1:]], h.offdiag)
             assert not is_persymmetric(h, 0.0)
         assert verify_pst(h).T == pytest.approx(math.pi, abs=1e-10)
         assert fidelity(h, math.pi) >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17])
+    def test_each_chain_is_prepared_once(self, n, monkeypatch):
+        # each entry point prepares its chain once: one scaling, and one fold of an exact mirror
+        calls = {"scaled": 0, "fold": 0}
+        scaled, fold = jacobi_module._scaled, jacobi_module._fold
+
+        def counting_scaled(h):
+            calls["scaled"] += 1
+            return scaled(h)
+
+        def counting_fold(s):
+            calls["fold"] += 1
+            return fold(s)
+
+        for module in (jacobi_module, pst_module):
+            monkeypatch.setattr(module, "_scaled", counting_scaled)
+        monkeypatch.setattr(jacobi_module, "_fold", counting_fold)
+        h = krawtchouk(n)
+        verify_pst(h)
+        assert calls == {"scaled": 1, "fold": int(n > 1)}
+        calls.update(scaled=0, fold=0)
+        evolve(h, (0.0, 1.0))
+        assert calls == {"scaled": 1, "fold": int(n > 1)}
 
 
 class TestEvolve:
@@ -213,6 +242,17 @@ class TestEvolve:
         h = wilkinson(21)
         with pytest.raises(ToleranceTooLoose):
             evolve(JacobiMatrix([h.diag[0] + 1e-12, *h.diag[1:]], h.offdiag), (1.0,))
+
+    def test_close_pair_of_one_kind_is_too_loose(self):
+        # the 42-site exact mirror whose symmetric half is W21: the top pair of
+        # that half lies 7.5e-14 apart, below the separation 1.1e-11, and both
+        # of its vectors are symmetric, not orthogonal by construction
+        # (without the check: "unitarity violated")
+        h = JacobiMatrix(*_unfold(wilkinson(21).diag, wilkinson(21).offdiag, 42, 1.0))
+        assert is_persymmetric(h, 0.0)
+        assert np.diff(np.linalg.eigvalsh(wilkinson(21).dense()))[-1] <= 1e-13
+        with pytest.raises(ToleranceTooLoose, match="of one kind"):
+            evolve(h, (1.0,))
 
     def test_trace_validates_unitarity(self):
         with pytest.raises(ValueError):
@@ -340,7 +380,9 @@ class TestDesignCertificate:
         def no_eigenvalues(*args):
             raise AssertionError("design_persymmetric bisected")
 
-        monkeypatch.setattr(pst_module, "eigenvalues", no_eigenvalues)
+        # every multisection, whole or folded, runs in `jacobi._spectrum`
+        monkeypatch.setattr(pst_module, "_spectrum", no_eigenvalues)
+        monkeypatch.setattr(jacobi_module, "_spectrum", no_eigenvalues)
         h = design_persymmetric(equally_spaced(n))
         assert np.abs(np.asarray(h.offdiag) - krawtchouk(n).offdiag).max() <= 1e-9
 
@@ -580,6 +622,19 @@ class TestScaleFree:
         # 1e-8 max |lambda| underflows: rounding the chain into doubles alone can miss it
         with pytest.raises(OutOfRange, match="spectrum contract"):
             design_persymmetric(krawtchouk_spectrum(5, k))
+
+    def test_eigenvector_errors_are_relative_to_the_chain(self):
+        # both numbers were divided back by the scale factor 2^1023 and printed
+        # as 0.000e+00; `evolve` still fails there, as its eigenvalues are
+        # resolved only to 2^-1074
+        h = scaled_by_power_of_two(krawtchouk(5), -1060)
+        norm = r" \* \|\|H\|\|_inf"
+        with pytest.raises(NotAnEigenvalue, match=rf"^residual \S+{norm} exceeds 1e-8{norm}$") as residual:
+            evolve(h, (0.0, 1.0))
+        with pytest.raises(NotAnEigenvalue, match=rf"^1\.0 lies more than 1e-8{norm} outside") as outside:
+            eigenvectors(h, [1.0])
+        for exc in (residual, outside):
+            assert "0.000e+00" not in str(exc.value)
 
     def test_one_site_zero_matrix_keeps_scale_one(self):
         assert eigenvalues(JacobiMatrix((0.0,))).tolerance == 1e-12

@@ -35,13 +35,21 @@ the shifts of both and adds one fold row; the multisection runs unchanged
 on it, each bracket counting in its own half (`_kinds` places the kinds
 in the spectrum).  The decision to fold is made here alone: `_prepare`
 scales a chain once and folds it when it is an exact mirror of two or
-more sites, and the spectrum (`_spectrum`) and eigenbasis (`_eigenbasis`)
-of the state-transfer layer take the prepared chain, whole or folded.
-The eigenbasis asks one separation, 1e-12 ||H||_inf, of two eigenvalues
-whose vectors are not orthogonal by construction: on a whole chain any
-two, on a fold two of one kind.  `_unfold`, the inverse of `_fold`,
-builds the chain from its symmetric half for the design; `eigenvalues`
-itself always counts the whole matrix, bit-identical to bisection.
+more sites.  Each chain has one spectrum, one multisection of the
+prepared chain (`_multisection`), whole or folded: `eigenvalues` and
+`pst.verify_pst` read it as a Spectrum (`_spectrum`), and `pst.evolve`
+reads it as it is, with the eigenbasis (`_eigenbasis`).  The eigenbasis
+asks one separation, 1e-12 ||H||_inf, of two eigenvalues whose vectors
+are not orthogonal by construction: on a whole chain any two, on a fold
+two of one kind.  `_unfold`, the inverse of `_fold`, builds the chain
+from its symmetric half for the design.
+
+The private kernels work in one unit, that of the scaled chain
+(`_Scaled`): the counts take scaled shifts, the multisection returns
+scaled eigenvalues, and the eigenvectors take them.  Only the public
+functions convert, by the scale factor, where values enter or leave, so
+an eigenvalue is resolved to the doubles near the scaled chain, not to
+the subnormals below a tiny H or past the largest double above a huge one.
 
 Everything in this module runs in 64-bit floating point; exact rationals
 enter only through the explicit conversion in `from_jfraction`.
@@ -52,6 +60,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -145,11 +154,33 @@ class Spectrum:
 
 
 def from_jfraction(jf: JFraction) -> JacobiMatrix:
-    """Jacobi matrix with diagonal a and off-diagonal +sqrt(b^2)."""
-    return JacobiMatrix(
-        (float(v) for v in jf.a),
-        (math.sqrt(float(v)) for v in jf.b2),
-    )
+    """Jacobi matrix with diagonal a and off-diagonal +sqrt(b^2), rounded
+    from the exact values.
+
+    b_k is sqrt(b_k^2 / 4^e) 2^e, with 4^e the even power of 2 that brings
+    b_k^2 into [1/2, 4): both scalings are exact, so b_k is
+    sqrt(float(b_k^2)) wherever b_k^2 is a normal double, and a b_k^2 past
+    the doubles still gives the b_k that lies within them.  Raises
+    OutOfRange naming k when a_k or b_k lies past the largest double, or
+    b_k rounds to 0.
+    """
+
+    def coupling(b2: Fraction) -> float:
+        e = (b2.numerator.bit_length() - b2.denominator.bit_length()) // 2
+        return math.ldexp(math.sqrt(b2 / Fraction(4) ** e), e)
+
+    def rounded(name: str, values, convert) -> list[float]:
+        entries = []
+        for k, value in enumerate(values):
+            try:
+                entries.append(convert(value))
+            except OverflowError:
+                raise OutOfRange(f"{name}_{k} of the J-fraction lies past the largest double") from None
+            if name == "b" and entries[-1] == 0.0:
+                raise OutOfRange(f"b_{k} of the J-fraction rounds to 0, below the smallest double")
+        return entries
+
+    return JacobiMatrix(rounded("a", jf.a, float), rounded("b", jf.b2, coupling))
 
 
 def normalized_poly_sequence(H: JacobiMatrix, x: float) -> list[float]:
@@ -286,10 +317,10 @@ def _recurrence(s: _Scaled, shifts: np.ndarray, guard: bool, out: np.ndarray | N
 
 
 def _count_less(s: _Scaled, shifts) -> np.ndarray:
-    """Number of eigenvalues below each shift, an array of any shape: by
-    Sylvester's law of inertia, the number of negative pivots of H - xI."""
-    shifts = np.asarray(shifts, dtype=float)
-    return _in_blocks(len(s.diag), lambda x: (_pivots(s, x) < 0).sum(axis=0), shifts * s.factor)
+    """Number of eigenvalues below each shift, scaled as s, an array of any
+    shape: by Sylvester's law of inertia, the number of negative pivots of
+    H - xI."""
+    return _in_blocks(len(s.diag), lambda x: (_pivots(s, x) < 0).sum(axis=0), np.asarray(shifts, dtype=float))
 
 
 def _in_blocks(rows: int, count, *columns: np.ndarray) -> np.ndarray:
@@ -371,10 +402,10 @@ def _kinds(n: int) -> tuple[slice, slice]:
 
 
 def _count_folded(f: _Fold, shifts, symmetric) -> np.ndarray:
-    """Eigenvalues of S (where symmetric holds) or of A below each shift:
-    the negative pivots of one table of the shared rows, for both halves at
-    once, plus that of the fold row of each.  symmetric broadcasts to the
-    shape of shifts."""
+    """Eigenvalues of S (where symmetric holds) or of A below each shift,
+    scaled as the fold: the negative pivots of one table of the shared
+    rows, for both halves at once, plus that of the fold row of each.
+    symmetric broadcasts to the shape of shifts."""
 
     def count(x, sym):
         table = _pivots(f.shared, x)
@@ -383,8 +414,7 @@ def _count_folded(f: _Fold, shifts, symmetric) -> np.ndarray:
             fold -= f.symmetric.coupling_sq[-1] / table[-1]
         return (table < 0).sum(axis=0) + (fold < f.shared.pivmin)  # the guard of `_pivots`
 
-    shifts = np.asarray(shifts, dtype=float)
-    return _in_blocks(len(f.symmetric.diag), count, shifts * f.shared.factor, symmetric)
+    return _in_blocks(len(f.symmetric.diag), count, np.asarray(shifts, dtype=float), symmetric)
 
 
 def _to_keys(x) -> np.ndarray:
@@ -400,7 +430,8 @@ def _from_keys(keys: np.ndarray) -> np.ndarray:
 
 def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     """All eigenvalues by Sturm-count multisection inside the Gershgorin
-    bracket.
+    bracket, on the chain as `_prepare` hands it over: an exact mirror of
+    two or more sites is counted on its two half chains.
 
     The N brackets shrink together.  Each pass takes one pivot count at
     2^b - 1 evenly spaced interior points of every bracket, and each
@@ -411,30 +442,36 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     doubles of the bracket, not over its width, and each root is narrowed
     down to two adjacent doubles.  As the rounded count is monotone in the
     shift, that final bracket is unique, so the result does not depend on
-    b and is bit-identical to bisection.  The returned values are accurate
-    to a few ulps (near 0, to the pivot guard pivmin ~ 1e-308; an
-    eigenvalue within the guard is returned as +0.0) regardless of
+    b and is bit-identical to bisection over the same count, whole or
+    folded, in the scaled units of the chain; it is the spectrum that
+    `pst.verify_pst` certifies.  The returned values are accurate
+    to a few ulps (near 0, to the pivot guard pivmin ~ 1e-308 ||H||_inf;
+    an eigenvalue within the guard is returned as +0.0) regardless of
     ``tol``; ``tol`` is the separation the resulting Spectrum certifies,
     by default 1e-12 ||H||_inf, relative to H at every scale (1e-12 for
     the zero 1 x 1 matrix) and at least the smallest double, 2^-1074,
     where that product underflows.  Raises ToleranceTooLoose
     when ``tol`` exceeds the best possible eigenvalue gap or any computed
-    gap fails it, and OutOfRange for an eigenvalue past the largest double.
+    gap fails it, and OutOfRange for an eigenvalue past the largest double
+    that no finite Gershgorin end of H bounds.
     """
-    return _spectrum((_scaled(H), None), tol)
+    return _spectrum(_prepare(H), tol)
 
 
 def _prepare(H: JacobiMatrix) -> tuple[_Scaled, _Fold | None]:
     """The scaled form of H, and its fold when H is an exact mirror of two
     or more sites; any other chain, one mirrored only within a tolerance
-    too, is solved whole.  The state-transfer layer prepares each chain
-    once and hands the pair to `_spectrum` and `_eigenbasis`."""
+    too, is solved whole.  Each public entry point prepares its chain
+    once and hands the pair to `_multisection`, `_spectrum` and
+    `_eigenbasis`."""
     s = _scaled(H)
     return s, _fold(s) if H.size > 1 and is_persymmetric(H, 0.0) else None
 
 
-def _spectrum(prepared: tuple[_Scaled, _Fold | None], tol: float | None = None) -> Spectrum:
-    """The multisection of `eigenvalues` on a chain from `_prepare`.
+def _multisection(prepared: tuple[_Scaled, _Fold | None]) -> np.ndarray:
+    """The ascending eigenvalues of a chain from `_prepare`, scaled as its
+    `_Scaled` form, by the multisection of `eigenvalues`; an eigenvalue
+    within the pivot guard pivmin is +0.0.
 
     Bracket k holds the eigenvalue that count(x)[k] passes index[k] at,
     where count maps an N x K array of shifts (row k those of bracket k)
@@ -446,25 +483,14 @@ def _spectrum(prepared: tuple[_Scaled, _Fold | None], tol: float | None = None) 
     """
     s, fold = prepared
     n = len(s.diag)
+    if n == 1:
+        return np.array(s.diag)
     index, count = np.arange(n), lambda x: _count_less(s, x)
     if fold is not None:
         symmetric = np.zeros((n, 1), dtype=bool)
         symmetric[_kinds(n)[0]] = True
         index, count = index // 2, lambda x: _count_folded(fold, x, symmetric)
-    scale = s.norm or s.factor  # ||H||_inf, scaled; 1 for the zero matrix
-    if tol is None:  # at least the smallest double, where 1e-12 ||H||_inf underflows
-        tol = max(1e-12 * scale / s.factor, math.ulp(0.0))
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    if n == 1:
-        return Spectrum((s.diag[0] / s.factor,), tol)
-    best_gap = (s.hi - s.lo) / (n - 1) / s.factor
-    if tol >= best_gap:
-        raise ToleranceTooLoose(
-            f"tol {tol} is not below the best possible gap {best_gap} "
-            f"of {n} eigenvalues inside the Gershgorin interval"
-        )
-    pad = 16 * sys.float_info.epsilon * scale
+    pad = 16 * sys.float_info.epsilon * s.norm
     # Split the keys of the bracket ends, not their values: the bracket
     # holds fewer than 2^64 doubles, so every root is done within 64 / b
     # passes, where splitting the width would walk ~1000 bisection steps
@@ -476,8 +502,8 @@ def _spectrum(prepared: tuple[_Scaled, _Fold | None], tol: float | None = None) 
     b = max(1, min(6, (1024 // n + 1).bit_length() - 1))
     shift, low_bits = np.uint64(b), np.uint64(2**b - 1)
     j = np.arange(1, 2**b, dtype=np.uint64)
-    lower = np.full(n, _to_keys((s.lo - pad) / s.factor))  # +-inf past the largest double
-    upper = np.full(n, _to_keys((s.hi + pad) / s.factor))
+    lower = np.full(n, _to_keys(s.lo - pad))  # scaled, so the ends are finite
+    upper = np.full(n, _to_keys(s.hi + pad))
     rows = np.arange(n)
     upper_above = np.ones((n, 1), dtype=bool)  # the upper end lies above its index
     while True:
@@ -493,18 +519,34 @@ def _spectrum(prepared: tuple[_Scaled, _Fold | None], tol: float | None = None) 
         lower, upper = ends[rows, flip], ends[rows, flip + 1]
     # 0.5 * (lower + upper) of two adjacent doubles rounds to the end with the
     # even key (ties to even); picking it directly cannot overflow
-    odd = lower & 1
-    found = _from_keys(np.where(odd, upper, lower))
+    found = _from_keys(np.where(lower & 1, upper, lower))
+    found[np.abs(found) <= s.pivmin] = 0.0  # an eigenvalue 0 lands on -pivmin
+    return found
+
+
+def _spectrum(prepared: tuple[_Scaled, _Fold | None], tol: float | None = None) -> Spectrum:
+    """The Spectrum of `eigenvalues` on a chain from `_prepare`: the tol
+    checks, then `_multisection` brought back to the units of H."""
+    s, _ = prepared
+    n = len(s.diag)
+    if tol is None:  # at least the smallest double, where 1e-12 ||H||_inf underflows
+        tol = max(1e-12 * (s.norm or s.factor) / s.factor, math.ulp(0.0))  # ||H||_inf, or 1 for the zero matrix
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    best_gap = (s.hi - s.lo) / (n - 1) / s.factor if n > 1 else math.inf
+    if tol >= best_gap:
+        raise ToleranceTooLoose(
+            f"tol {tol} is not below the best possible gap {best_gap} "
+            f"of {n} eigenvalues inside the Gershgorin interval"
+        )
+    # an eigenvalue past the largest double is that double where the
+    # Gershgorin interval of H ends at a finite double on its side
+    with np.errstate(over="ignore"):
+        found = _multisection(prepared) / s.factor
+        end_finite = np.isfinite(np.where(found < 0, s.lo, s.hi) / s.factor)
+    np.clip(found, -sys.float_info.max, sys.float_info.max, out=found, where=end_finite)
     if np.isinf(found).any():
-        # A bracket end at +-inf has the even key.  Its other end is the
-        # largest double, and that is the eigenvalue where the Gershgorin
-        # interval of H ends at a finite double on the same side.
-        lo, hi = s.lo / s.factor, s.hi / s.factor
-        clipped = ((found == -math.inf) & (lo > -math.inf)) | ((found == math.inf) & (hi < math.inf))
-        found[clipped] = _from_keys(np.where(odd, lower, upper))[clipped]
-        if np.isinf(found).any():
-            raise OutOfRange(f"eigenvalue {np.isinf(found).argmax()} lies past the largest double")
-    found[np.abs(found) <= s.pivmin / s.factor] = 0.0  # an eigenvalue 0 lands on -pivmin
+        raise OutOfRange(f"eigenvalue {np.isinf(found).argmax()} lies past the largest double")
     try:
         return Spectrum(found, tol)
     except DegenerateSpectrum as exc:
@@ -528,18 +570,19 @@ def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:
     lams = np.asarray(tuple(lams), dtype=float)
     if not np.isfinite(lams).all():
         raise ValueError("eigenvectors needs finite eigenvalues")
-    return _eigenvectors(_scaled(H), lams)
-
-
-def _eigenvectors(s: _Scaled, lams: np.ndarray) -> np.ndarray:
-    """`eigenvectors` of the matrix of the scaled form s at the finite lams."""
-    bound = 1e-8 * s.norm  # 1e-8 * ||H||_inf, scaled
-    outside = (lams < (s.lo - bound) / s.factor) | (lams > (s.hi + bound) / s.factor)
+    s = _scaled(H)  # 1e-8 * ||H||_inf is 1e-8 * s.norm, scaled
+    outside = (lams < (s.lo - 1e-8 * s.norm) / s.factor) | (lams > (s.hi + 1e-8 * s.norm) / s.factor)
     if outside.any():
         raise NotAnEigenvalue(
             f"{float(lams[outside][0])!r} lies more than 1e-8 * ||H||_inf outside the Gershgorin interval"
         )
-    lams = lams * s.factor
+    return _eigenvectors(s, lams * s.factor)
+
+
+def _eigenvectors(s: _Scaled, lams: np.ndarray) -> np.ndarray:
+    """`eigenvectors` of the matrix of the scaled form s at the lams, scaled
+    as s, inside its Gershgorin interval widened by 1e-8 ||H||_inf."""
+    bound = 1e-8 * s.norm  # 1e-8 * ||H||_inf, scaled
     n = len(s.diag)
     if not lams.size:
         return np.zeros((n, 0))
@@ -571,9 +614,9 @@ def _eigenvectors(s: _Scaled, lams: np.ndarray) -> np.ndarray:
 
 def _eigenbasis(prepared: tuple[_Scaled, _Fold | None], lams) -> np.ndarray:
     """`eigenvectors` of a chain from `_prepare` at all its eigenvalues
-    lams, ascending.  On a fold they are those of its half chains S and A
-    (`_Fold`), each with its own residual check, unfolded to
-    (u, +-Ju) / sqrt(2).
+    lams, ascending and scaled as the chain (`_multisection`).  On a fold
+    they are those of its half chains S and A (`_Fold`), each with its own
+    residual check, unfolded to (u, +-Ju) / sqrt(2).
 
     Raises ToleranceTooLoose when two eigenvalues whose vectors are not
     orthogonal by construction lie within 1e-12 ||H||_inf, the default
@@ -585,7 +628,7 @@ def _eigenbasis(prepared: tuple[_Scaled, _Fold | None], lams) -> np.ndarray:
     n, m = len(s.diag), len(s.diag) // 2
     lams = np.asarray(lams, dtype=float)
     kinds = (slice(None),) if fold is None else _kinds(n)
-    if any((np.diff(lams[kind] * s.factor) <= 1e-12 * s.norm).any() for kind in kinds):
+    if any((np.diff(lams[kind]) <= 1e-12 * s.norm).any() for kind in kinds):
         raise ToleranceTooLoose(
             f"eigenvalues{'' if fold is None else ' of one kind'} lie within 1e-12 * ||H||_inf of each other"
         )

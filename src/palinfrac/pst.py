@@ -15,7 +15,9 @@ returns the minimal admissible T together with phi normalized into
 checked against the phase condition before it is returned.
 
 `verify_pst` and `evolve` prepare each chain once (`jacobi._prepare`)
-and take it as `jacobi` hands it over; they do not branch on its shape.
+and take it as `jacobi` hands it over; they do not branch on its shape,
+and they read the one spectrum `jacobi` solves for it, that of
+`eigenvalues`.
 `jacobi` folds a chain that is mirrored exactly (`is_persymmetric(H, 0.0)`,
 two or more sites): its eigenvectors are symmetric or antisymmetric, and
 each kind is that of a half chain, S or A, of about N / 2 sites (Cantoni
@@ -71,6 +73,7 @@ from .jacobi import (
     _count_less,
     _eigenbasis,
     _kinds,
+    _multisection,
     _prepare,
     _scaled,
     _spectrum,
@@ -147,6 +150,14 @@ class AmplitudeTrace:
 def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     """e^{itH} e_0 for each t, via the spectral decomposition of H.
 
+    The eigenvalues are the multisection of the prepared chain
+    (`jacobi._multisection`), the spectrum `eigenvalues` returns, taken
+    in the scaled units of the chain: no Spectrum is formed, and the phases
+    are (t / factor) lambda, with lambda scaled by the power of 2 factor.
+    So a chain whose spectrum lies in the subnormals or past the largest
+    double evolves like 2^k H, and neither rounding nor the separation of
+    a Spectrum stands between the eigenvalues and the eigenbasis.
+
     Raises ValueError for a NaN or infinite time, and OutOfRange when
     max |t| * ||H|| exceeds 2^53, with ||H|| the Gershgorin bound on every
     |lambda|: beyond it neighbouring doubles lie 2 or more apart, so the
@@ -167,10 +178,9 @@ def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
     reach = max(map(abs, times), default=0.0) / s.factor * s.norm
     if reach > 2.0**53:
         raise OutOfRange(f"max |t| * ||H|| = {reach:.3e} exceeds 2^53: phases lost to rounding")
-    # the spectrum certifies no separation: `_eigenbasis` asks the one its vectors need
-    lams = np.asarray(_spectrum(prepared, math.ulp(0.0)).eigenvalues)
+    lams = _multisection(prepared)  # scaled as the chain, which (t / factor) undoes
     basis = _eigenbasis(prepared, lams)
-    amplitudes = (np.exp(1j * np.multiply.outer(times, lams)) * basis[0]) @ basis.T
+    amplitudes = (np.exp(1j * np.multiply.outer([t / s.factor for t in times], lams)) * basis[0]) @ basis.T
     try:
         return AmplitudeTrace(times, amplitudes)
     except ValueError as exc:  # eigenvectors of close eigenvalue pairs of a chain that does not fold
@@ -228,10 +238,12 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
     """Decide perfect state transfer for H and return the certificate (T, phi).
 
     Checks mirror symmetry within tol * ||H||_inf, solves the spectrum at
-    the default separation of `eigenvalues` (1e-12 * ||H||_inf),
-    reconstructs the gap ratios as rationals at accuracy tol, reduces to
-    the least common odd scaling (T Delta_k must be odd multiples of pi),
-    and fixes phi from the lowest eigenvalue.  Every tolerance is relative
+    the default separation of `eigenvalues` (1e-12 * ||H||_inf), which it
+    equals bit for bit, reconstructs the gap ratios as rationals at
+    accuracy tol, reduces to the least common odd scaling (T Delta_k must
+    be odd multiples of pi), and fixes phi from the lowest eigenvalue.
+    The gaps are taken in the scaled units of the chain, exact where
+    those of H would round in the subnormals.  Every tolerance is relative
     to H, so 2^k H gives T / 2^k and the same phi.  For a 1x1 chain any T
     works; T = pi is the convention here.
     """
@@ -247,8 +259,8 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
     if top == 0:
         T = math.pi
     else:
-        half = [0.5 * lam for lam in lams]  # exact above the subnormals; their gaps cannot overflow
-        gaps = [half[k + 1] - half[k] for k in range(top)]
+        scaled = [lam * s.factor for lam in lams]  # exact; their gaps cannot overflow
+        gaps = [scaled[k + 1] - scaled[k] for k in range(top)]
         ratios = [gap / gaps[0] for gap in gaps]
         fractions = [_ratio_to_fraction(r, RATIO_DENOMINATOR_BOUND, tol) for r in ratios]
         common = math.lcm(*(f.denominator for f in fractions))
@@ -258,7 +270,7 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
                 f"gaps are commensurable with pi multiples {odd_multiples}, "
                 "which cannot all be odd under any common rescaling"
             )
-        T = 0.5 * math.pi * sum(odd_multiples) / (half[-1] - half[0])
+        T = math.pi * sum(odd_multiples) / (scaled[-1] - scaled[0]) * s.factor
     phi = ((top % 2) * math.pi - T * lams[0]) % TWO_PI
     spectral_radius = max(abs(lams[0]), abs(lams[-1]))
     tolphase = 1e-8 * (1.0 + abs(T) * spectral_radius)
@@ -349,8 +361,8 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
         raise InternalCheckFailed("designed matrix failed its persymmetry contract")
     delta = 1e-8 * scale
     # the chain as returned, rounded where it lies below the normal doubles, in mu units again
-    diag, off = np.ldexp(designed.diag, -e), np.ldexp(designed.offdiag, -e)
-    below, above = _count_less(_scaled(JacobiMatrix(diag, off)), mus + np.ldexp([[-delta], [delta]], -e))
+    s = _scaled(JacobiMatrix(np.ldexp(designed.diag, -e), np.ldexp(designed.offdiag, -e)))
+    below, above = _count_less(s, (mus + np.ldexp([[-delta], [delta]], -e)) * s.factor)
     index = np.arange(n)
     missed = np.flatnonzero((below > index) | (above <= index))
     if missed.size:

@@ -12,6 +12,7 @@ from genutil import krawtchouk, random_jacobi, random_mirror, wilkinson
 from palinfrac.errors import (
     DegenerateSpectrum,
     NotAnEigenvalue,
+    OutOfRange,
     SizeTooSmall,
     ToleranceTooLoose,
 )
@@ -23,6 +24,7 @@ from palinfrac.jacobi import (
     _eigenbasis,
     _fold,
     _kinds,
+    _multisection,
     _pivots,
     _prepare,
     _scaled,
@@ -93,6 +95,30 @@ class TestFromJFraction:
         assert h == chain3
         assert from_jfraction(JFraction((5,), ())) == JacobiMatrix((5.0,), ())
         assert from_jfraction(JFraction((0, 0), (1,))).offdiag == (1.0,)
+
+    def test_couplings_whose_squares_lie_past_the_doubles(self):
+        # b^2 = 10^400 overflowed and 10^-400 rounded to 0, though b = 1e200 and 1e-200 are doubles
+        assert from_jfraction(JFraction((0, 0), (Fraction(10) ** 400,))).offdiag == (1e200,)
+        assert from_jfraction(JFraction((0, 0), (Fraction(1, 10**400),))).offdiag == (1e-200,)
+
+    def test_couplings_are_the_root_of_the_rounded_square_in_range(self):
+        # b^2 / 4^e and the factor 2^e are exact where b^2 is a normal double
+        rng = random.Random(103)
+        for _ in range(2000):
+            b2 = Fraction(rng.randint(1, 10**30), rng.randint(1, 10**30)) * Fraction(2) ** rng.randint(-900, 900)
+            assert from_jfraction(JFraction((0, 0), (b2,))).offdiag == (math.sqrt(float(b2)),)
+
+    @pytest.mark.parametrize(
+        "a, b2, message",
+        [
+            ((Fraction(10) ** 400, 0), (1,), "a_0 of the J-fraction lies past the largest double"),
+            ((0, 0, 0), (1, Fraction(10) ** 700), "b_1 of the J-fraction lies past the largest double"),
+            ((0, 0, 0), (1, Fraction(1, 10**700)), "b_1 of the J-fraction rounds to 0"),
+        ],
+    )
+    def test_entries_past_the_doubles_are_out_of_range(self, a, b2, message):
+        with pytest.raises(OutOfRange, match=message):
+            from_jfraction(JFraction(a, b2))
 
 
 class TestRecurrence:
@@ -215,10 +241,10 @@ class TestEigenvalues:
     def test_rejects_bad_tolerance_before_bisection(self, chain3, tol, monkeypatch):
         import palinfrac.jacobi as jacobi_module
 
-        def no_count(h, x):
+        def no_multisection(prepared):
             raise AssertionError("bisection ran")
 
-        monkeypatch.setattr(jacobi_module, "_count_less", no_count)
+        monkeypatch.setattr(jacobi_module, "_multisection", no_multisection)
         with pytest.raises(ValueError):
             eigenvalues(chain3, tol)
 
@@ -238,7 +264,8 @@ class TestEigenvalues:
 
     def test_sturm_count_totals(self, chain3):
         lo, hi = gershgorin_interval(chain3)
-        counts = _count_less(_scaled(chain3), [lo - 1e-9, hi + 1e-9, 0.5, 0.0])
+        s = _scaled(chain3)
+        counts = _count_less(s, np.array([lo - 1e-9, hi + 1e-9, 0.5, 0.0]) * s.factor)
         # the zero pivot at the eigenvalue 0 turns negative: an exact hit counts as below
         assert counts.tolist() == [0, 3, 2, 2]
 
@@ -261,7 +288,8 @@ class TestEigenvalues:
             eigs = np.linalg.eigvalsh(h.dense())
             points = [rng.uniform(-5.0, 5.0) for _ in range(50)]
             shifts = [x for x in points if np.abs(eigs - x).min() > 1e-9]
-            for x, below in zip(shifts, _count_less(_scaled(h), shifts)):
+            s = _scaled(h)
+            for x, below in zip(shifts, _count_less(s, np.asarray(shifts) * s.factor)):
                 signs = [math.copysign(1.0, v) for v in normalized_poly_sequence(h, x) if v != 0.0]
                 changes = sum(left != right for left, right in zip(signs, signs[1:]))
                 assert below == h.size - changes
@@ -473,24 +501,29 @@ def _values(keys: np.ndarray) -> np.ndarray:
 
 def key_halving_bisection(h: JacobiMatrix) -> np.ndarray:
     """Every eigenvalue by plain bisection of the keys of its bracket, one
-    pivot count per step: the reference multisection must reproduce bit
-    for bit, including an eigenvalue 0 returned as +0.0."""
-    s = _scaled(h)
-    lo, hi = gershgorin_interval(h)
-    pad = 16 * sys.float_info.epsilon * max(1.0, abs(lo), abs(hi))
-    index = np.arange(h.size)
-    lower = np.full(h.size, _keys(lo - pad))
-    upper = np.full(h.size, _keys(hi + pad))
+    pivot count per step, with the count of the prepared chain (whole, or
+    on the half of each eigenvalue's kind for an exact mirror) in its
+    scaled units: the reference multisection must reproduce bit for bit,
+    including an eigenvalue 0 returned as +0.0."""
+    s, fold = _prepare(h)
+    index, count = np.arange(h.size), lambda x: _count_less(s, x)
+    if fold is not None:
+        symmetric = np.zeros(h.size, dtype=bool)
+        symmetric[_kinds(h.size)[0]] = True
+        index, count = index // 2, lambda x: _count_folded(fold, x, symmetric)
+    pad = 16 * sys.float_info.epsilon * s.norm
+    lower = np.full(h.size, _keys(s.lo - pad))
+    upper = np.full(h.size, _keys(s.hi + pad))
     while True:
         mid = (lower >> 1) + (upper >> 1) + (lower & upper & 1)  # floor((lower + upper) / 2)
         if not (mid > lower).any():
             break
-        above = _count_less(s, _values(mid)) > index
+        above = count(_values(mid)) > index
         upper = np.where(above, mid, upper)
         lower = np.where(above, lower, mid)
     found = 0.5 * (_values(lower) + _values(upper))
-    found[np.abs(found) <= s.pivmin / s.factor] = 0.0
-    return found
+    found[np.abs(found) <= s.pivmin] = 0.0
+    return found / s.factor
 
 
 def _multisection_chains():
@@ -555,8 +588,8 @@ class TestFold:
         h = random_mirror(random.Random(1000 + n), n)
         assert is_persymmetric(h, 0.0)
         dense = np.linalg.eigvalsh(h.dense())
-        shifts = np.concatenate(([dense[0] - 1], (dense[1:] + dense[:-1]) / 2, [dense[-1] + 1]))
         s = _scaled(h)
+        shifts = np.concatenate(([dense[0] - 1], (dense[1:] + dense[:-1]) / 2, [dense[-1] + 1])) * s.factor
         halves = _count_folded(_fold(s), np.stack((shifts, shifts)), np.array([[True], [False]]))
         assert halves.sum(axis=0).tolist() == _count_less(s, shifts).tolist() == list(range(n + 1))
         # the kinds alternate from the top down, the top one symmetric
@@ -597,15 +630,18 @@ class TestFold:
         h = random_mirror(random.Random(2000 + n), n)
         lo, hi = gershgorin_interval(h)
         bound = 8 * sys.float_info.epsilon * max(1.0, abs(lo), abs(hi))
-        full = np.asarray(eigenvalues(h).eigenvalues)
-        assert np.abs(np.asarray(_spectrum(folding(h)).eigenvalues) - full).max() <= bound
+        full = np.asarray(_spectrum((_scaled(h), None)).eigenvalues)
+        folded = np.asarray(_spectrum(folding(h)).eigenvalues)
+        assert np.abs(folded - full).max() <= bound
+        assert folded.tobytes() == np.asarray(eigenvalues(h).eigenvalues).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 256])
     def test_unfolded_vectors_are_eigenvectors(self, n):
         h = random_mirror(random.Random(3000 + n), n)
         prepared = folding(h)
-        lams = np.asarray(_spectrum(prepared).eigenvalues)
-        basis = _eigenbasis(prepared, lams)
+        scaled = _multisection(prepared)
+        basis = _eigenbasis(prepared, scaled)
+        lams = scaled / prepared[0].factor
         scale = max(1.0, float(np.abs(h.dense()).sum(axis=1).max()))
         assert np.abs(h.dense() @ basis - basis * lams).max() <= 1e-12 * scale
         assert np.abs(basis - eigenvectors(h, lams)).max() <= 1e-8  # the same signs: first entry > 0
@@ -619,18 +655,18 @@ class TestFold:
         n = 1024
         h = krawtchouk(n)
         prepared = folding(h)
-        basis = _eigenbasis(prepared, _spectrum(prepared).eigenvalues)
+        basis = _eigenbasis(prepared, _multisection(prepared))
         assert np.linalg.norm(basis.T @ basis - np.eye(n)) <= 1e-12
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("h", [JacobiMatrix((0.0,) * 3, (1e308, 1e308)), JacobiMatrix((1e308, 1e308), (7e307,))])
     def test_chain_near_the_largest_double(self, h):
         # sqrt(2) b_{m-1}, 2 b_{m-1}^2 and a_{m-1} + b_{m-1} are taken in the scaled units
-        full = np.asarray(eigenvalues(h).eigenvalues)
+        full = np.asarray(_spectrum((_scaled(h), None)).eigenvalues)
         prepared = folding(h)
         folded = np.asarray(_spectrum(prepared).eigenvalues)
         assert np.abs(folded - full).max() <= 8 * sys.float_info.epsilon * np.abs(full).max()
-        basis = _eigenbasis(prepared, folded)
+        basis = _eigenbasis(prepared, _multisection(prepared))
         assert np.abs(basis.T @ basis - np.eye(h.size)).max() <= 1e-15
 
 
@@ -735,28 +771,30 @@ class TestKrawtchoukScale:
         # before it is counted, the count is k or k + 1, never off by more
         n = 1024
         h = krawtchouk(n)
-        exact = np.arange(n) - (n - 1) / 2
-        assert set((_count_less(_scaled(h), exact) - np.arange(n)).tolist()) <= {0, 1}
-        assert _count_less(_scaled(h), exact + 0.5).tolist() == list(range(1, n + 1))
+        s = _scaled(h)
+        exact = (np.arange(n) - (n - 1) / 2) * s.factor
+        assert set((_count_less(s, exact) - np.arange(n)).tolist()) <= {0, 1}
+        assert _count_less(s, exact + 0.5 * s.factor).tolist() == list(range(1, n + 1))
 
     def test_bisection_ends_within_64_counts(self, monkeypatch):
-        # odd size: the eigenvalue 0 is hit exactly by a bracket end
+        # odd size: the eigenvalue 0 is hit exactly by a bracket end; the
+        # chain is an exact mirror, so every pass counts on its halves
         import palinfrac.jacobi as jacobi_module
 
         shifts = []
-        count = jacobi_module._count_less
+        count = jacobi_module._count_folded
 
-        def counting(s, x):
+        def counting(f, x, symmetric):
             shifts.append(np.asarray(x))
-            return count(s, x)
+            return count(f, x, symmetric)
 
-        monkeypatch.setattr(jacobi_module, "_count_less", counting)
+        monkeypatch.setattr(jacobi_module, "_count_folded", counting)
         # resolved to pivmin = tiny * max b^2, the width of the pivot guard, and returned as 0
         assert abs(eigenvalues(krawtchouk(65)).eigenvalues[32]) <= 1e-300
         # N = 65: b = 4, the largest b <= 6 with 65 (2^b - 1) <= 1024; each pass
         # divides the fewer than 2^64 doubles of a bracket by 2^b
         b = 4
-        assert all(x.size == 65 * (2**b - 1) for x in shifts)
+        assert shifts and all(x.size == 65 * (2**b - 1) for x in shifts)
         assert len(shifts) <= math.ceil(64 / b)
 
     @pytest.mark.parametrize("n", [64, 256, 1024])

@@ -1,6 +1,8 @@
+import contextlib
 import io
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -107,12 +109,24 @@ class TestVerify:
         assert fidelity(h, cert.T) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("call", [eigenvalues, verify_pst, lambda h: evolve(h, (0.0,))])
+    @pytest.mark.parametrize("call", [eigenvalues, verify_pst])
     def test_eigenvalue_past_the_largest_double_is_out_of_range(self, call):
         # the lowest eigenvalue is -2e308: its bracket ended at -inf, which was
         # returned and then rejected by Spectrum with an untyped ValueError
         with pytest.raises(OutOfRange, match="eigenvalue 0 lies past the largest double"):
             call(JacobiMatrix((-1e308, -1e308), (1e308,)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_evolve_past_the_largest_double_runs_in_scaled_units(self):
+        # evolve never brings the eigenvalues back to the units of H: its
+        # phases are (t / factor) times those of the scaled chain, so the
+        # eigenvalue -2e308 is no error there
+        h = JacobiMatrix((-1e308, -1e308), (1e308,))
+        assert np.abs(evolve(h, (0.0,)).amplitudes[0] - [1.0, 0.0]).max() <= 1e-15
+        factor = jacobi_module._scaled(h).factor
+        w, v = np.linalg.eigh(h.dense() * factor)
+        dense = v @ (np.exp(1j * (1e-300 / factor) * w) * v[0])
+        assert np.abs(evolve(h, (1e-300,)).amplitudes[0] - dense).max() <= 1e-6
 
     def test_even_gap_multiple_has_no_odd_scaling(self):
         # spectrum {-1, 0, 2}: gaps 1 and 2, so T would need an even pi multiple
@@ -135,10 +149,42 @@ class TestVerify:
         assert cert.T == pytest.approx(math.pi, rel=1e-12)
 
 
+def odd_gap_design(n: int) -> JacobiMatrix:
+    rng = random.Random(n)
+    gaps = [rng.choice((1, 3, 5)) for _ in range(n - 1)]
+    return design_persymmetric(Spectrum(np.cumsum([0.0, *gaps]) - sum(gaps) / 2, 1e-9))
+
+
+SPECTRUM_CHAINS = [
+    *(pytest.param(krawtchouk, n, id=f"krawtchouk-{n}") for n in range(2, 66)),
+    *(pytest.param(odd_gap_design, n, id=f"odd-gap-{n}") for n in (2, 3, 16, 17, 64, 65, 256)),
+    *(pytest.param(wilkinson, n, id=f"wilkinson-{n}") for n in (15, 16, 21, 23)),
+]
+
+
 class TestFoldedPath:
     @staticmethod
     def sentinel(*args):
         raise AssertionError("took the folded path")
+
+    @pytest.mark.parametrize("chain, n", SPECTRUM_CHAINS)
+    def test_eigenvalues_are_the_spectrum_verify_pst_reads(self, chain, n, monkeypatch):
+        # one multisection of the prepared chain, folded on an exact mirror,
+        # serves both: the spectrum verify_pst solves is that of eigenvalues,
+        # bit for bit, whatever verify_pst then decides on it
+        h = chain(n)
+        try:
+            expected = np.asarray(eigenvalues(h).eigenvalues)
+        except ToleranceTooLoose as exc:  # W21, W23: both name the same computed pair
+            with pytest.raises(ToleranceTooLoose, match=re.escape(str(exc))):
+                verify_pst(h)
+            return
+        read = []
+        spectrum = pst_module._spectrum
+        monkeypatch.setattr(pst_module, "_spectrum", lambda *args: read.append(spectrum(*args)) or read[-1])
+        with contextlib.suppress(IncommensurableSpectrum):  # W15, W16 transfer no state
+            verify_pst(h)
+        assert np.asarray(read[0].eigenvalues).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17])
     def test_exact_mirror_folds(self, n, monkeypatch):
@@ -235,10 +281,15 @@ class TestEvolve:
             assert 0.0 <= fidelity(h, t) <= 1.0
 
     def test_close_pairs_stay_typed_off_the_exact_mirror(self):
-        # W31's top pair is equal in doubles, so no separation can hold; W21
-        # with a_0 moved by 1e-12 does not fold and keeps the default separation
+        # W31's top pair is equal in doubles, so no Spectrum can hold it, but
+        # it is one vector of each kind: evolve reads the multisection itself
+        # and asks no separation of it.  W21 with a_0 moved by 1e-12 does not
+        # fold and keeps the default separation
+        w31 = wilkinson(31)
         with pytest.raises(ToleranceTooLoose):
-            evolve(wilkinson(31), (1.0,))
+            eigenvalues(w31)
+        for t in (1.0, 10.0):
+            assert np.abs(evolve(w31, (t,)).amplitudes[0] - expm_amplitudes(w31, t)).max() <= 1e-9
         h = wilkinson(21)
         with pytest.raises(ToleranceTooLoose):
             evolve(JacobiMatrix([h.diag[0] + 1e-12, *h.diag[1:]], h.offdiag), (1.0,))
@@ -430,7 +481,7 @@ class TestDesignCertificate:
 
         def moved(s, shifts):
             shifts = np.array(shifts)
-            shifts[:, k] += move * DELTA_12 / MU_12
+            shifts[:, k] += move * DELTA_12 / MU_12 * s.factor  # the count takes scaled shifts
             return count(s, shifts)
 
         monkeypatch.setattr(pst_module, "_count_less", moved)
@@ -439,7 +490,9 @@ class TestDesignCertificate:
 
     def test_eigenvalue_moved_within_delta_passes(self, monkeypatch):
         count = pst_module._count_less
-        monkeypatch.setattr(pst_module, "_count_less", lambda s, x: count(s, np.asarray(x) + 0.5 * DELTA_12 / MU_12))
+        monkeypatch.setattr(
+            pst_module, "_count_less", lambda s, x: count(s, np.asarray(x) + 0.5 * DELTA_12 / MU_12 * s.factor)
+        )
         design_persymmetric(equally_spaced(12))
 
     @pytest.mark.parametrize("row, change", [(0, 1), (1, -1)])
@@ -611,6 +664,22 @@ class TestScaleFree:
         except PalinfracError as exc:
             assert not isinstance(exc, InternalCheckFailed)
 
+    def test_smallest_double_coupling(self):
+        # the bracket keys were those of unscaled doubles, which cannot tell
+        # +-2^-1074 from 0: ToleranceTooLoose, where the scaled chain resolves them
+        assert eigenvalues(JacobiMatrix((0.0, 0.0), (5e-324,))).eigenvalues == (-5e-324, 5e-324)
+
+    @pytest.mark.parametrize("diag", [(0.0, 0.0), (2e-323, 2e-323)])
+    def test_subnormal_chain_reaches_a_decision(self, diag):
+        # the gaps are taken in the scaled units: halved, 2^-1074 and 2^-1073
+        # would fall on one double, and the gap ratio would divide by 0
+        try:
+            cert = verify_pst(JacobiMatrix(diag, (5e-324,)))
+        except PalinfracError as exc:
+            assert not isinstance(exc, InternalCheckFailed)
+        else:
+            assert check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, 1e-8)
+
     def test_subnormal_two_site_chain(self):
         spectrum = eigenvalues(JacobiMatrix((1e-310, 0.0), (1e-310,)))
         golden = (0.5 - math.sqrt(1.25)) * 1e-310, (0.5 + math.sqrt(1.25)) * 1e-310
@@ -625,12 +694,16 @@ class TestScaleFree:
 
     def test_eigenvector_errors_are_relative_to_the_chain(self):
         # both numbers were divided back by the scale factor 2^1023 and printed
-        # as 0.000e+00; `evolve` still fails there, as its eigenvalues are
-        # resolved only to 2^-1074
+        # as 0.000e+00.  `evolve` failed there too, as its eigenvalues were
+        # resolved only to 2^-1074; in the scaled units it agrees with the
+        # chain scaled up by 2^1100
         h = scaled_by_power_of_two(krawtchouk(5), -1060)
+        times = (0.0, 1.0, 1e300, 2.0**1023)
+        trace, trace_up = evolve(h, times), evolve(scaled_by_power_of_two(h, 1100), np.ldexp(times, -1100))
+        assert np.abs(trace.amplitudes - trace_up.amplitudes).max() <= 1e-12
         norm = r" \* \|\|H\|\|_inf"
         with pytest.raises(NotAnEigenvalue, match=rf"^residual \S+{norm} exceeds 1e-8{norm}$") as residual:
-            evolve(h, (0.0, 1.0))
+            eigenvectors(h, [math.ldexp(0.5, -1060)])  # inside the Gershgorin interval, off the spectrum
         with pytest.raises(NotAnEigenvalue, match=rf"^1\.0 lies more than 1e-8{norm} outside") as outside:
             eigenvectors(h, [1.0])
         for exc in (residual, outside):

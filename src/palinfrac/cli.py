@@ -7,10 +7,13 @@ Domain errors exit with status 1 and a machine-readable
 {"error": code, "detail": ...} object on stderr; usage errors exit 2.
 
 The environment variable PALINFRAC_TOL overrides the default numeric
-tolerance 1e-12 used by the spectral commands.  For `pst verify` it is the
-relative tolerance of `verify_pst`; for `jacobi eig` and for a spectrum
-file without its own "tolerance" it stays an absolute separation, in the
-units of the eigenvalues.
+tolerance 1e-12 of the spectral commands.  Like `--tol` it is relative
+to the input, ||H||_inf of a chain or max |lambda| of a spectrum:
+`jacobi eig` and `pst verify` hand it to the library as it is, and
+`pst design` gives a spectrum file without a "tolerance" of its own the
+separation PALINFRAC_TOL * max |lambda| (max |lambda| = 1 for the zero
+spectrum), at least the smallest double.  A file's own "tolerance" is
+that separation, absolute, as `jacobi eig` prints it.
 
 The float layers (and numpy with them) are imported inside the four
 commands that need them, `jacobi eig` and `pst verify|design|simulate`,
@@ -239,7 +242,7 @@ def jacobi() -> None:
 
 @jacobi.command("eig")
 @click.argument("hfile", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=float, default=None, help="Bracket separation tolerance.")
+@click.option("--tol", type=float, default=None, help="Eigenvalue separation, relative to ||H||_inf.")
 def jacobi_eig(hfile: str, tol: float | None) -> None:
     """Eigenvalues by Sturm multisection."""
     from .jacobi import eigenvalues
@@ -276,8 +279,9 @@ def pst_design(specfile: str) -> None:
     from .jacobi import Spectrum
     from .pst import design_persymmetric
 
-    def spectrum(data) -> Spectrum:
-        tolerance = float(data["tolerance"]) if "tolerance" in data else _default_tol()
+    def spectrum(data) -> Spectrum:  # a file's tolerance is absolute; PALINFRAC_TOL is relative
+        scale = max((abs(float(v)) for v in data["eigenvalues"]), default=0.0) or 1.0
+        tolerance = float(data["tolerance"]) if "tolerance" in data else max(_default_tol() * scale, math.ulp(0.0))
         return Spectrum(data["eigenvalues"], tolerance)
 
     _emit(design_persymmetric(_load(specfile, "spectrum", spectrum)).to_json_obj())

@@ -428,7 +428,7 @@ def _from_keys(keys: np.ndarray) -> np.ndarray:
     return np.copysign(np.abs(keys).view(np.float64), keys)
 
 
-def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
+def eigenvalues(H: JacobiMatrix, tol: float = 1e-12) -> Spectrum:
     """All eigenvalues by Sturm-count multisection inside the Gershgorin
     bracket, on the chain as `_prepare` hands it over: an exact mirror of
     two or more sites is counted on its two half chains.
@@ -447,13 +447,16 @@ def eigenvalues(H: JacobiMatrix, tol: float | None = None) -> Spectrum:
     `pst.verify_pst` certifies.  The returned values are accurate
     to a few ulps (near 0, to the pivot guard pivmin ~ 1e-308 ||H||_inf;
     an eigenvalue within the guard is returned as +0.0) regardless of
-    ``tol``; ``tol`` is the separation the resulting Spectrum certifies,
-    by default 1e-12 ||H||_inf, relative to H at every scale (1e-12 for
-    the zero 1 x 1 matrix) and at least the smallest double, 2^-1074,
-    where that product underflows.  Raises ToleranceTooLoose
-    when ``tol`` exceeds the best possible eigenvalue gap or any computed
-    gap fails it, and OutOfRange for an eigenvalue past the largest double
-    that no finite Gershgorin end of H bounds.
+    ``tol``.  ``tol`` is relative to H, as that of `pst.verify_pst` is:
+    the resulting Spectrum certifies the separation tol ||H||_inf (tol
+    for the zero matrix), at least the smallest double, 2^-1074, where
+    that product underflows.  So within the normal doubles
+    eigenvalues(2^k H, tol) succeeds or raises as eigenvalues(H, tol)
+    does.  Raises ToleranceTooLoose, naming tol and that separation, when
+    the separation (an overflowing one too) reaches the best possible
+    eigenvalue gap or any computed gap fails it, and OutOfRange for an
+    eigenvalue past the largest double that no finite Gershgorin end of H
+    bounds.
     """
     return _spectrum(_prepare(H), tol)
 
@@ -524,19 +527,19 @@ def _multisection(prepared: tuple[_Scaled, _Fold | None]) -> np.ndarray:
     return found
 
 
-def _spectrum(prepared: tuple[_Scaled, _Fold | None], tol: float | None = None) -> Spectrum:
+def _spectrum(prepared: tuple[_Scaled, _Fold | None], tol: float = 1e-12) -> Spectrum:
     """The Spectrum of `eigenvalues` on a chain from `_prepare`: the tol
     checks, then `_multisection` brought back to the units of H."""
     s, _ = prepared
     n = len(s.diag)
-    if tol is None:  # at least the smallest double, where 1e-12 ||H||_inf underflows
-        tol = max(1e-12 * (s.norm or s.factor) / s.factor, math.ulp(0.0))  # ||H||_inf, or 1 for the zero matrix
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
+    # tol ||H||_inf (||H||_inf = 1 for the zero matrix), at least the smallest double
+    separation = max(tol * (s.norm or s.factor) / s.factor, math.ulp(0.0))
     best_gap = (s.hi - s.lo) / (n - 1) / s.factor if n > 1 else math.inf
-    if tol >= best_gap:
+    if separation >= best_gap:  # an overflowing separation too
         raise ToleranceTooLoose(
-            f"tol {tol} is not below the best possible gap {best_gap} "
+            f"tol {tol} * ||H||_inf = {separation} is not below the best possible gap {best_gap} "
             f"of {n} eigenvalues inside the Gershgorin interval"
         )
     # an eigenvalue past the largest double is that double where the
@@ -548,9 +551,9 @@ def _spectrum(prepared: tuple[_Scaled, _Fold | None], tol: float | None = None) 
     if np.isinf(found).any():
         raise OutOfRange(f"eigenvalue {np.isinf(found).argmax()} lies past the largest double")
     try:
-        return Spectrum(found, tol)
+        return Spectrum(found, separation)
     except DegenerateSpectrum as exc:
-        raise ToleranceTooLoose(f"computed {exc}") from None
+        raise ToleranceTooLoose(f"computed {exc} = tol {tol} * ||H||_inf") from None
 
 
 def eigenvectors(H: JacobiMatrix, lams: Iterable[float]) -> np.ndarray:

@@ -16,9 +16,10 @@ appear only at the boundary: `content`, `leading_coefficient`, `coeff`
 and the rational coefficients (:attr:`Polynomial.coefficients`, built from
 the pair on first use).
 
-Exact evaluation (:meth:`Polynomial.eval_exact`) and 64-bit floating
-evaluation (:meth:`Polynomial.eval_float`, Horner on converted
-coefficients) are separate code paths and are never mixed implicitly.
+Evaluation has one path, exact (:meth:`Polynomial.eval_exact`);
+:meth:`Polynomial.eval_float` crosses to 64-bit floating point
+explicitly, rounding the exact value at the double x once, so it is
+correctly rounded at any degree.
 
 `three_term` runs u_{k+1} = f_k u_k + g_k u_{k-1} over any ring: it gives
 the convergents, the J- and P-fraction reconstructions and the Chebyshev
@@ -35,7 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from .errors import DivisionByZeroPolynomial
+from .errors import DivisionByZeroPolynomial, OutOfRange
 
 __all__ = [
     "BigRational",
@@ -268,11 +269,12 @@ class Polynomial:
         return Fraction(self._num * acc, self._den * qpow)
 
     def eval_float(self, x: float) -> float:
-        """Horner evaluation in 64-bit floating point."""
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + float(c)
-        return acc
+        """The exact value at the double x (`eval_exact`), rounded once to a
+        double; OutOfRange when it lies past the largest double."""
+        try:
+            return float(self.eval_exact(x))
+        except OverflowError:
+            raise OutOfRange(f"the value at {x!r} lies past the largest double") from None
 
     def derivative(self) -> "Polynomial":
         v = self._ints

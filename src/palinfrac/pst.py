@@ -244,8 +244,9 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
     be odd multiples of pi), and fixes phi from the lowest eigenvalue.
     The gaps are taken in the scaled units of the chain, exact where
     those of H would round in the subnormals.  Every tolerance is relative
-    to H, so 2^k H gives T / 2^k and the same phi.  For a 1x1 chain any T
-    works; T = pi is the convention here.
+    to H, so 2^k H gives T / 2^k and the same phi; OutOfRange is raised
+    where T lies past the largest double, before the phase check.  For a
+    1x1 chain any T works; T = pi is the convention here.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -271,6 +272,8 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
                 "which cannot all be odd under any common rescaling"
             )
         T = math.pi * sum(odd_multiples) / (scaled[-1] - scaled[0]) * s.factor
+        if not math.isfinite(T):  # the gaps are commensurable, but no double holds T
+            raise OutOfRange(f"T = {sum(odd_multiples)} pi / (lambda_N - lambda_0) lies past the largest double")
     phi = ((top % 2) * math.pi - T * lams[0]) % TWO_PI
     spectral_radius = max(abs(lams[0]), abs(lams[-1]))
     tolphase = 1e-8 * (1.0 + abs(T) * spectral_radius)

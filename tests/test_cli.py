@@ -7,11 +7,11 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from genutil import rand_fraction, wilkinson
+from genutil import krawtchouk, rand_fraction, wilkinson
 from palinfrac.cli import main
 from palinfrac.errors import PalinfracError
 from palinfrac.jfraction import JFraction
-from palinfrac.jacobi import JacobiMatrix
+from palinfrac.jacobi import JacobiMatrix, eigenvalues
 from palinfrac.pfraction import PFraction, expand_pfraction, pfraction_to_rational
 from palinfrac.polynomial import Polynomial
 
@@ -365,6 +365,61 @@ class TestPst:
         result = runner.invoke(main, ["pst", "simulate", files["chain"], *times, "--steps", "2"])
         assert result.exit_code == 2
         assert "finite" in result.stderr
+
+
+def krawtchouk5(k: int) -> dict:
+    """The 5-site Krawtchouk chain times 2^k (exact), spectrum 2^k (-2..2)."""
+    return {name: [math.ldexp(v, k) for v in values] for name, values in krawtchouk(5).to_json_obj().items()}
+
+
+class TestRelativeTolerance:
+    """Every tolerance the CLI hands on is relative to its input: ||H||_inf
+    of a chain, max |lambda| of a spectrum without its own "tolerance"."""
+
+    @staticmethod
+    def run(runner, tmp_path, command, payload, env=None):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        result = runner.invoke(main, [*command, str(path)], env=env)
+        assert result.exit_code == 0, result.stderr
+        return out_json(result)
+
+    @pytest.mark.parametrize("k", [-1000, -60, -43, 0, 60, 1000])
+    def test_power_of_two_equivariance(self, runner, tmp_path, k):
+        # jacobi eig took 1e-12 as an absolute separation, as did pst design for
+        # a spectrum file without a "tolerance": both failed for k <= -43
+        def scaled(values, k):
+            return [math.ldexp(v, k) for v in values]
+
+        def results(k):
+            eig = self.run(runner, tmp_path, ["jacobi", "eig"], krawtchouk5(k))
+            cert = self.run(runner, tmp_path, ["pst", "verify"], krawtchouk5(k))
+            design = self.run(runner, tmp_path, ["pst", "design"], {"eigenvalues": scaled(range(-2, 3), k)})
+            return eig, cert, design
+
+        (eig, cert, design), (eig_k, cert_k, design_k) = results(0), results(k)
+        assert eig_k["eigenvalues"] == scaled(eig["eigenvalues"], k)
+        assert eig_k["tolerance"] == pytest.approx(math.ldexp(eig["tolerance"], k), rel=1e-9)  # subnormal at -1000
+        assert (cert_k["T"], cert_k["phi"]) == (math.ldexp(cert["T"], -k), cert["phi"])
+        assert cert_k["eigenvalues"] == eig_k["eigenvalues"]
+        assert design_k == {name: scaled(values, k) for name, values in design.items()}
+
+    def test_default_separation_is_relative_to_the_chain(self, runner, tmp_path):
+        h = JacobiMatrix.from_json_obj(krawtchouk5(0))
+        assert self.run(runner, tmp_path, ["jacobi", "eig"], krawtchouk5(0))["tolerance"] == eigenvalues(h).tolerance
+        assert eigenvalues(h).tolerance == pytest.approx(1e-12 * math.sqrt(6), rel=1e-15)  # 1e-12 ||H||_inf
+        for env, option in (({"PALINFRAC_TOL": "1e-6"}, []), ({}, ["--tol", "1e-6"])):
+            payload = self.run(runner, tmp_path, ["jacobi", "eig", *option], krawtchouk5(0), env)
+            assert payload["tolerance"] == eigenvalues(h, 1e-6).tolerance
+
+    def test_design_separation_is_relative_to_the_spectrum(self, runner, tmp_path):
+        # gaps 1e-14: PALINFRAC_TOL 0.6 asks 0.6e-14, 1.0 asks 1e-14
+        path = tmp_path / "spectrum.json"
+        path.write_text(json.dumps({"eigenvalues": [-1e-14, 0.0, 1e-14]}))
+        assert runner.invoke(main, ["pst", "design", str(path)], env={"PALINFRAC_TOL": "0.6"}).exit_code == 0
+        result = runner.invoke(main, ["pst", "design", str(path)], env={"PALINFRAC_TOL": "1"})
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "DegenerateSpectrum"
 
 
 class TestPfrac:

@@ -237,6 +237,34 @@ class TestEigenvalues:
         assert spectrum.eigenvalues == pytest.approx(expected, rel=1e-15)
         assert spectrum.tolerance == pytest.approx(tol, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-1000, -60, -43, 60, 1000])
+    @pytest.mark.parametrize("tol", [1e-6, 0.45, 0.6, 1e300])
+    def test_explicit_tol_is_relative_to_the_chain(self, tol, k):
+        # taken as absolute separations, 1e-6, 0.45 and 0.6 failed 2^k H for
+        # k <= -43, where H passes them, and 1e300 passed 2^1000 H, where H fails it
+        h = krawtchouk(5)
+
+        def outcome(chain, k):
+            try:
+                return np.ldexp(eigenvalues(chain, tol).eigenvalues, -k).tolist()
+            except ToleranceTooLoose:
+                return "ToleranceTooLoose"
+
+        assert outcome(JacobiMatrix(np.ldexp(h.diag, k), np.ldexp(h.offdiag, k)), k) == outcome(h, 0)
+
+    def test_too_loose_names_tol_and_its_separation(self):
+        h = krawtchouk(5)  # ||H||_inf = 2.449, best possible gap 1.225, gaps 1
+        with pytest.raises(ToleranceTooLoose, match=r"^tol 0\.6 \* \|\|H\|\|_inf = 1\.469\d* is not below the best"):
+            eigenvalues(h, 0.6)
+        with pytest.raises(ToleranceTooLoose, match=r"^computed .* beyond 1\.102\d* = tol 0\.45 \* \|\|H\|\|_inf$"):
+            eigenvalues(h, 0.45)
+        # a separation past the largest double is too loose, not an untyped error
+        with pytest.raises(ToleranceTooLoose, match=r"^tol 1e\+300 \* \|\|H\|\|_inf = inf is not below"):
+            eigenvalues(JacobiMatrix(np.ldexp(h.diag, 1000), np.ldexp(h.offdiag, 1000)), 1e300)
+        with pytest.raises(ToleranceTooLoose, match="= inf"):
+            eigenvalues(JacobiMatrix((1e300,)), 1e300)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
     def test_rejects_bad_tolerance_before_bisection(self, chain3, tol, monkeypatch):
         import palinfrac.jacobi as jacobi_module
@@ -274,7 +302,7 @@ class TestEigenvalues:
     def test_extreme_scales(self, b):
         # b^2 under- or overflows unless the matrix is scaled first
         h = JacobiMatrix((0.0, 0.0, 0.0), (b, b))
-        spec = eigenvalues(h, tol=1e-3 * b)
+        spec = eigenvalues(h, tol=1e-3 * b / max(map(abs, gershgorin_interval(h))))  # separation 1e-3 * b
         expected = (-math.sqrt(2) * b, 0.0, math.sqrt(2) * b)
         assert spec.eigenvalues == pytest.approx(expected, rel=1e-14, abs=1e-14 * b)
         v = eigenvector(h, spec.eigenvalues[2])
@@ -314,7 +342,7 @@ class TestEigenvalues:
         h = JacobiMatrix((1e-310, 0.0), (1e-310,))
         assert gershgorin_interval(h) == (-1e-310, 2e-310)
         expected = (0.5 * (1 - math.sqrt(5)) * 1e-310, 0.5 * (1 + math.sqrt(5)) * 1e-310)
-        assert eigenvalues(h, tol=1e-311).eigenvalues == pytest.approx(expected, rel=1e-12)
+        assert eigenvalues(h, tol=0.05).eigenvalues == pytest.approx(expected, rel=1e-12)  # separation 1e-311
 
 
 def recurrence_pivots(h: JacobiMatrix, xs) -> np.ndarray:
@@ -545,7 +573,8 @@ class TestMultisection:
     @pytest.mark.parametrize("h", _multisection_chains())
     def test_bit_identical_to_bisection(self, h):
         lo, hi = gershgorin_interval(h)
-        found = np.asarray(eigenvalues(h, (hi - lo) / (h.size - 1) * 1e-14).eigenvalues)
+        # tol is relative to ||H||_inf: the separation is 1e-14 of the best possible gap
+        found = np.asarray(eigenvalues(h, (hi - lo) / (h.size - 1) * 1e-14 / max(-lo, hi)).eigenvalues)
         assert found.view(np.int64).tolist() == key_halving_bisection(h).view(np.int64).tolist()
 
     def test_bracket_across_zero_is_wider_than_int64(self):

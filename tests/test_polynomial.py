@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palinfrac.errors import DivisionByZeroPolynomial, NotCoprime
+from palinfrac.errors import DivisionByZeroPolynomial, NotCoprime, OutOfRange
 from palinfrac.jfraction import sturm_chain
 from palinfrac.pfraction import expand_pfraction
 from palinfrac.polynomial import (
@@ -400,11 +400,16 @@ class TestChebyshev:
         assert three_term([(1, 1)] * 5, (0, half)) == [half * f for f in (1, 1, 2, 3, 5, 8)]
 
     def test_cosine_identity(self):
-        for n in range(13):
+        # Horner on the rounded monomial coefficients was off by 1.2e-3 at
+        # n = 40, 1.7e4 at n = 56 and 3.2e31 at n = 128; the exact value is rounded once
+        for n in [*range(13), 40, 56, 128, 1024]:
             t = chebyshev_t(n)
-            for j in range(8):
-                theta = j * math.pi / 7
-                assert abs(t.eval_float(math.cos(theta)) - math.cos(n * theta)) <= 1e-12
+            for x in [math.cos(j * math.pi / 7) for j in range(8)] + [0.5, 0.99]:
+                assert abs(t.eval_float(x) - math.cos(n * math.acos(x))) <= 1e-12
+
+    def test_float_value_past_the_largest_double_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match="past the largest double"):
+            chebyshev_t(1024).eval_float(3.0)
 
 
 def _plain_three_term(steps, seed) -> list:

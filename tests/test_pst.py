@@ -680,6 +680,24 @@ class TestScaleFree:
         else:
             assert check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, 1e-8)
 
+    @pytest.mark.parametrize(
+        "h, error",
+        [
+            pytest.param(JacobiMatrix((0.0, 0.0), (5e-324,)), OutOfRange, id="smallest-coupling"),
+            pytest.param(JacobiMatrix((2e-323, 2e-323), (5e-324,)), OutOfRange, id="subnormal-pair"),
+            pytest.param(scaled_by_power_of_two(krawtchouk(5), -1060), OutOfRange, id="k5x2^-1060"),
+            pytest.param(scaled_by_power_of_two(krawtchouk(16), -1050), OutOfRange, id="k16x2^-1050"),
+            # its chain, rounded in the subnormals, is incommensurable before T is formed
+            pytest.param(scaled_by_power_of_two(krawtchouk(17), -1040), IncommensurableSpectrum, id="k17x2^-1040"),
+        ],
+    )
+    def test_transfer_time_past_the_largest_double_is_out_of_range(self, h, error):
+        # the gaps are commensurable, but T is inf: the phase check failed it
+        # as IncommensurableSpectrum
+        message = r"^T = \d+ pi / .* past the largest double$" if error is OutOfRange else "gap ratio"
+        with pytest.raises(error, match=message):
+            verify_pst(h)
+
     def test_subnormal_two_site_chain(self):
         spectrum = eigenvalues(JacobiMatrix((1e-310, 0.0), (1e-310,)))
         golden = (0.5 - math.sqrt(1.25)) * 1e-310, (0.5 + math.sqrt(1.25)) * 1e-310

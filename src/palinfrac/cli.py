@@ -12,8 +12,9 @@ to the input, ||H||_inf of a chain or max |lambda| of a spectrum:
 `jacobi eig` and `pst verify` hand it to the library as it is, and
 `pst design` gives a spectrum file without a "tolerance" of its own the
 separation PALINFRAC_TOL * max |lambda| (max |lambda| = 1 for the zero
-spectrum), at least the smallest double.  A file's own "tolerance" is
-that separation, absolute, as `jacobi eig` prints it.
+spectrum), at least the smallest double and at most the largest.  A
+file's own "tolerance" is that separation, absolute, as `jacobi eig`
+prints it.
 
 The float layers (and numpy with them) are imported inside the four
 commands that need them, `jacobi eig` and `pst verify|design|simulate`,
@@ -280,9 +281,11 @@ def pst_design(specfile: str) -> None:
     from .pst import design_persymmetric
 
     def spectrum(data) -> Spectrum:  # a file's tolerance is absolute; PALINFRAC_TOL is relative
+        if "tolerance" in data:
+            return Spectrum(data["eigenvalues"], float(data["tolerance"]))
         scale = max((abs(float(v)) for v in data["eigenvalues"]), default=0.0) or 1.0
-        tolerance = float(data["tolerance"]) if "tolerance" in data else max(_default_tol() * scale, math.ulp(0.0))
-        return Spectrum(data["eigenvalues"], tolerance)
+        # the product may overflow, and only a finite tolerance makes a Spectrum
+        return Spectrum(data["eigenvalues"], min(max(_default_tol() * scale, math.ulp(0.0)), sys.float_info.max))
 
     _emit(design_persymmetric(_load(specfile, "spectrum", spectrum)).to_json_obj())
 

@@ -8,11 +8,12 @@ gaps: T Delta_k must be an odd multiple of pi for every gap
 Delta_k = lambda_{k+1} - lambda_k.
 
 `verify_pst` decides the gap condition by rational reconstruction of the
-ratios Delta_k / Delta_0 with continued-fraction convergents (denominator
-bound 10^6), reduces them to the least common odd multiple scaling, and
-returns the minimal admissible T together with phi normalized into
-[0, 2 pi).  The spectrum is recomputed from H, and the certificate is
-checked against the phase condition before it is returned.
+ratios Delta_k / Delta_0 with continued-fraction convergents, each at the
+accuracy it carries when every gap may be off by tol * ||H||_inf and with
+denominators bounded by that accuracy, reduces them to the least common
+odd multiple scaling, and returns the minimal admissible T together with
+phi normalized into [0, 2 pi).  The spectrum is recomputed from H, and the
+certificate is checked against the phase condition before it is returned.
 
 `verify_pst` and `evolve` prepare each chain once (`jacobi._prepare`)
 and take it as `jacobi` hands it over; they do not branch on its shape,
@@ -42,11 +43,12 @@ chain mirrored exactly.  The
 construction is not taken on faith: it validates its own contract before
 returning, persymmetry entry by entry and the spectrum of the whole chain
 by a two-count certificate, one pivot count at every lambda_k - delta and
-lambda_k + delta, with no bisection.  Both the construction and the count
-run on the spectrum scaled by the power of 2 that brings max |lambda| into
-[1/2, 1), so neither can overflow, and every threshold is relative to the
-spectrum at any scale.  Likewise every default tolerance of `verify_pst`
-and `evolve` is relative to ||H||_inf, with no floor at 1.
+lambda_k + delta, with no bisection.  The construction runs on the
+spectrum scaled by the power of 2 that brings max |lambda| into [1/2, 1),
+and the count on the chain scaled as `jacobi` scales it, so neither can
+overflow, and every threshold is relative to the spectrum at any scale.
+Likewise every default tolerance of `verify_pst` and `evolve` is relative
+to ||H||_inf, with no floor at 1.
 """
 
 from __future__ import annotations
@@ -90,12 +92,9 @@ __all__ = [
     "fidelity",
     "design_persymmetric",
     "check_pst1_spectrum",
-    "RATIO_DENOMINATOR_BOUND",
 ]
 
 TWO_PI = 2.0 * math.pi
-
-RATIO_DENOMINATOR_BOUND = 10**6
 
 
 @dataclass(frozen=True)
@@ -239,9 +238,14 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
 
     Checks mirror symmetry within tol * ||H||_inf, solves the spectrum at
     the default separation of `eigenvalues` (1e-12 * ||H||_inf), which it
-    equals bit for bit, reconstructs the gap ratios as rationals at
-    accuracy tol, reduces to the least common odd scaling (T Delta_k must
-    be odd multiples of pi), and fixes phi from the lowest eigenvalue.
+    equals bit for bit, reconstructs each gap ratio r_k = Delta_k / Delta_0
+    as a rational c/d, reduces to the least common odd scaling (T Delta_k
+    must be odd multiples of pi), and fixes phi from the lowest eigenvalue.
+    The ratio test reads tol as the mirror test does: c/d must lie within
+    a_k = min(1, tol * ||H||_inf * (1 + r_k) / Delta_0) of r_k, the error
+    of r_k when Delta_k and Delta_0 are each off by tol * ||H||_inf, and
+    d <= a_k^(-1/2), as every real lies within 1/d^2 of a convergent c/d,
+    so a larger d could match by chance.
     The gaps are taken in the scaled units of the chain, exact where
     those of H would round in the subnormals.  Every tolerance is relative
     to H, so 2^k H gives T / 2^k and the same phi; OutOfRange is raised
@@ -263,7 +267,8 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
         scaled = [lam * s.factor for lam in lams]  # exact; their gaps cannot overflow
         gaps = [scaled[k + 1] - scaled[k] for k in range(top)]
         ratios = [gap / gaps[0] for gap in gaps]
-        fractions = [_ratio_to_fraction(r, RATIO_DENOMINATOR_BOUND, tol) for r in ratios]
+        accuracies = [min(1.0, tol * s.norm * (1 + r) / gaps[0]) for r in ratios]
+        fractions = [_ratio_to_fraction(r, int(a**-0.5), a) for r, a in zip(ratios, accuracies)]
         common = math.lcm(*(f.denominator for f in fractions))
         odd_multiples = [(common // f.denominator) * f.numerator for f in fractions]
         if any(m % 2 == 0 for m in odd_multiples):  # odd_multiples[0] is common
@@ -317,13 +322,13 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     alone can miss the contract, so a miss there is OutOfRange.
 
     The eigenvalues are certified, not recomputed: one Sturm count of the
-    returned chain, brought back to mu units by 2^-e (exactly), at the 2N
-    shifts mu_k -+ d, d = delta / 2^e, which cannot overflow.
-    count(mu_k - d) <= k says that at most k eigenvalues lie below
-    lambda_k - delta, and k < count(mu_k + d) that at least k + 1 lie below
-    lambda_k + delta, so the k-th eigenvalue lies in [lambda_k - delta,
-    lambda_k + delta] (Sylvester's law of inertia; an exact hit counts as
-    below).  No gap condition is needed.
+    returned chain, in the scaled units `jacobi` counts it in, at the 2N
+    shifts lambda_k -+ delta, each times the power of 2 of that scaling,
+    which cannot overflow.  count(lambda_k - delta) <= k says that at most
+    k eigenvalues lie below lambda_k - delta, and k < count(lambda_k + delta)
+    that at least k + 1 lie below lambda_k + delta, so the k-th eigenvalue
+    lies in [lambda_k - delta, lambda_k + delta] (Sylvester's law of
+    inertia; an exact hit counts as below).  No gap condition is needed.
     """
     lams = np.asarray(spectrum.eigenvalues, dtype=float)
     n = lams.size
@@ -363,9 +368,9 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     if not is_persymmetric(designed, 1e-10 * scale):
         raise InternalCheckFailed("designed matrix failed its persymmetry contract")
     delta = 1e-8 * scale
-    # the chain as returned, rounded where it lies below the normal doubles, in mu units again
-    s = _scaled(JacobiMatrix(np.ldexp(designed.diag, -e), np.ldexp(designed.offdiag, -e)))
-    below, above = _count_less(s, (mus + np.ldexp([[-delta], [delta]], -e)) * s.factor)
+    # the chain as returned, rounded where it lies below the normal doubles, in jacobi's units
+    s = _scaled(designed)
+    below, above = _count_less(s, lams * s.factor + np.array([[-delta], [delta]]) * s.factor)
     index = np.arange(n)
     missed = np.flatnonzero((below > index) | (above <= index))
     if missed.size:

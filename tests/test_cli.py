@@ -421,6 +421,23 @@ class TestRelativeTolerance:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"] == "DegenerateSpectrum"
 
+    @pytest.mark.parametrize("env, tolerance", [({"PALINFRAC_TOL": "1e10"}, {}), ({}, {"tolerance": 1.7e308})])
+    def test_design_separation_past_the_largest_double(self, runner, tmp_path, env, tolerance):
+        # 1e10 * 1e300 overflowed, and Spectrum rejected the infinite separation
+        # as a usage error (exit 2); capped at the largest double it is the
+        # domain error of a file that asks 1.7e308 itself
+        path = tmp_path / "spectrum.json"
+        path.write_text(json.dumps({"eigenvalues": [-1e300, 0.0, 1e300], **tolerance}))
+        result = runner.invoke(main, ["pst", "design", str(path)], env=env)
+        assert result.exit_code == 1, result.stderr
+        assert json.loads(result.stderr)["error"] == "DegenerateSpectrum"
+
+    def test_verify_ratio_test_is_relative_to_the_chain(self, runner, tmp_path):
+        # gaps 1 and 999999, both odd: T = pi.  The ratio 999999.0000000002 was
+        # asked to within 1e-12 absolute, below the error its eigenvalues carry
+        chain = self.run(runner, tmp_path, ["pst", "design"], {"eigenvalues": [-500000, -499999, 500000]})
+        assert self.run(runner, tmp_path, ["pst", "verify"], chain)["T"] == pytest.approx(math.pi, rel=1e-12)
+
 
 class TestPfrac:
     def test_expand(self, runner, files):

@@ -421,7 +421,6 @@ def equally_spaced(n: int) -> Spectrum:
 
 
 DELTA_12 = 1e-8 * 5.5  # the certificate's half-width for equally_spaced(12)
-MU_12 = 2.0 ** math.frexp(5.5)[1]  # 8: the certificate counts mu = lambda / 8 at mu_k -+ delta / 8
 MAX_DOUBLE = sys.float_info.max
 
 
@@ -476,12 +475,12 @@ class TestDesignCertificate:
     @pytest.mark.parametrize("k", [0, 5, 11])
     @pytest.mark.parametrize("move", [-3.0, 3.0])
     def test_moved_eigenvalue_is_caught_at_its_index(self, k, move, monkeypatch):
-        # shifting both counts of mu_k by move * delta / 8 certifies lambda_k + move * delta instead
+        # shifting both counts of lambda_k by move * delta certifies lambda_k + move * delta instead
         count = pst_module._count_less
 
         def moved(s, shifts):
             shifts = np.array(shifts)
-            shifts[:, k] += move * DELTA_12 / MU_12 * s.factor  # the count takes scaled shifts
+            shifts[:, k] += move * DELTA_12 * s.factor  # the count takes scaled shifts
             return count(s, shifts)
 
         monkeypatch.setattr(pst_module, "_count_less", moved)
@@ -491,7 +490,7 @@ class TestDesignCertificate:
     def test_eigenvalue_moved_within_delta_passes(self, monkeypatch):
         count = pst_module._count_less
         monkeypatch.setattr(
-            pst_module, "_count_less", lambda s, x: count(s, np.asarray(x) + 0.5 * DELTA_12 / MU_12 * s.factor)
+            pst_module, "_count_less", lambda s, x: count(s, np.asarray(x) + 0.5 * DELTA_12 * s.factor)
         )
         design_persymmetric(equally_spaced(12))
 
@@ -509,12 +508,12 @@ class TestDesignCertificate:
             design_persymmetric(equally_spaced(12))
 
     def test_perturbed_design_is_caught(self, monkeypatch):
-        # the mu-chain's diagonal raised by 3 delta / 8 keeps the chain persymmetric
-        # and moves every eigenvalue by 3 delta in lambda; the first index fails
+        # the chain's diagonal raised by 3 delta keeps it persymmetric and
+        # moves every eigenvalue by 3 delta; the first index fails
         scaled = pst_module._scaled
 
         def perturbed(h):
-            return scaled(JacobiMatrix([a + 3 * DELTA_12 / MU_12 for a in h.diag], h.offdiag))
+            return scaled(JacobiMatrix([a + 3 * DELTA_12 for a in h.diag], h.offdiag))
 
         monkeypatch.setattr(pst_module, "_scaled", perturbed)
         with pytest.raises(InternalCheckFailed, match="at eigenvalue 0:"):
@@ -540,9 +539,10 @@ class TestDesignScale:
 
     @pytest.mark.parametrize("lams", [(-MAX_DOUBLE, MAX_DOUBLE), (-MAX_DOUBLE, 0.0, MAX_DOUBLE)])
     def test_spectrum_at_the_largest_double(self, lams):
-        # the certificate shifts lambda_k -+ delta overflowed; mu_k -+ delta / 2^e
-        # cannot.  The end eigenvalue of the designed chain may round past the
-        # largest double, so the spectrum is checked on the chain times 1/4 (exact).
+        # the certificate shifts lambda_k -+ delta overflowed; scaled as the
+        # chain, each term apart, they cannot.  The end eigenvalue of the
+        # designed chain may round past the largest double, so the spectrum
+        # is checked on the chain times 1/4 (exact).
         h = design_persymmetric(Spectrum(lams, 1e296))
         assert is_persymmetric(h, 1e-10 * MAX_DOUBLE)
         quarter = JacobiMatrix([a / 4 for a in h.diag], [b / 4 for b in h.offdiag])
@@ -729,6 +729,63 @@ class TestScaleFree:
 
     def test_one_site_zero_matrix_keeps_scale_one(self):
         assert eigenvalues(JacobiMatrix((0.0,))).tolerance == 1e-12
+
+
+def gap_design(gaps) -> JacobiMatrix:
+    """The mirror chain designed on the spectrum with these gaps, centred."""
+    lams = np.cumsum([0.0, *gaps])
+    return design_persymmetric(Spectrum(lams - lams[-1] / 2, 1e-9))
+
+
+# first gap 1, last gap up to 999999, all odd: T = pi
+WIDE_GAPS = [
+    [1, 999999],  # the spectrum (-500000, -499999, 500000)
+    [1, 1, 9999],
+    [1, 5, 99999],  # (-50002.5, -50001.5, -49996.5, 50002.5)
+    [1, 1, 1, 9999],  # (-5001, -5000, -4999, -4998, 5001)
+    [1, 5, 3, 999999],
+    [1, 1, 1, 1, 999999],
+    [1, 5, 3, 1, 5, 99999],
+    [1, 1, 1, 1, 1, 1, 99999],
+]
+
+
+@pytest.mark.filterwarnings("error")
+class TestRatioAccuracy:
+    """The gap-ratio test reads tol as the mirror test does, relative to
+    ||H||_inf: a ratio r_k is good to a_k = tol ||H|| (1 + r_k) / Delta_0,
+    and its denominator is bounded by a_k^(-1/2)."""
+
+    @pytest.mark.parametrize("gaps", WIDE_GAPS, ids=str)
+    def test_wide_odd_gap_spectra_transfer_at_pi(self, gaps):
+        # a ratio near 1e6 carries about eps ||H|| / Delta_0 ~ 1e-10 of error,
+        # which the absolute accuracy 1e-12 did not cover: IncommensurableSpectrum
+        assert verify_pst(gap_design(gaps)).T == pytest.approx(math.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 64])
+    def test_a_gap_off_by_1e_9_is_not_transfer(self, n):
+        gaps = [1.0] * (n - 1)
+        gaps[-1] = 1 + 1e-9
+        with pytest.raises(IncommensurableSpectrum):
+            verify_pst(gap_design(gaps))
+
+    def test_denominator_bound_follows_the_accuracy(self):
+        # gaps 100 : 9999851 allow no odd scaling.  At tol 1e-12 the ratio
+        # 99998.51 is good to a = 5.04e-3 only, so d <= 14, and no c/d that
+        # small lies within a of it.  Under a fixed bound of 10^6 the
+        # convergent 99998 + 25/49 did, and T = 49 pi was certified
+        h = gap_design([1, 99998.51])
+        with pytest.raises(IncommensurableSpectrum, match=r"denominator <= 14 within 0\.0050"):
+            verify_pst(h)
+        # at tol 1e-15, a = 5.04e-6 and d <= 445 resolve it as 9999851 / 100
+        with pytest.raises(NoOddScaling, match=r"\[100, 9999851\]"):
+            verify_pst(h, 1e-15)
+
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    def test_power_of_two_equivariance_of_a_wide_chain(self, k):
+        h = gap_design([1, 5, 3, 999999])
+        cert, cert_k = verify_pst(h), verify_pst(scaled_by_power_of_two(h, k))
+        assert (cert_k.T, cert_k.phi) == (math.ldexp(cert.T, -k), cert.phi)
 
 
 class TestPhaseCheck:

@@ -242,12 +242,6 @@ def interlacing_check(P: Polynomial, Q: Polynomial) -> bool:
     return _cauchy_index(P, Q) == n
 
 
-def _real_root_count(p: Polynomial) -> int:
-    """Distinct real roots of p: the Cauchy index of p'/p, each real root
-    a pole of residue its multiplicity > 0."""
-    return _cauchy_index(p, p.derivative())
-
-
 def _cauchy_index(p: Polynomial, q: Polynomial) -> int:
     """Cauchy index of q/p over the whole line: V(-inf) - V(+inf) on the
     signed remainder chain of (p, q) (Sturm's theorem for the Cauchy index;

@@ -14,6 +14,10 @@ denominators bounded by that accuracy, reduces them to the least common
 odd multiple scaling, and returns the minimal admissible T together with
 phi normalized into [0, 2 pi).  The spectrum is recomputed from H, and the
 certificate is checked against the phase condition before it is returned.
+All of it runs on one budget, tau = tol * ||H||_inf, the tolerance of the
+certificate's Spectrum: the mirror test, the separation, the gap ratios,
+and the phase check, whose window is 4 |T| tau; a window of pi or more
+cannot tell one phase from another, so it certifies nothing.
 
 `verify_pst` and `evolve` prepare each chain once (`jacobi._prepare`)
 and take it as `jacobi` hands it over; they do not branch on its shape,
@@ -194,12 +198,13 @@ def fidelity(H: JacobiMatrix, t: float) -> float:
 
 def check_pst1_spectrum(spectrum: Spectrum, T: float, phi: float, tolphase: float) -> bool:
     """True iff every phase T lambda_k + phi is within tolphase of (N + k) pi
-    modulo 2 pi; False for a NaN or infinite phase."""
+    modulo 2 pi; False for a NaN or infinite phase, and for a tolphase of
+    pi or more (or NaN), as every phase lies within pi of (N + k) pi."""
     top = len(spectrum.eigenvalues) - 1
     for k, lam in enumerate(spectrum.eigenvalues):
         phase = T * lam + phi - (top + k) * math.pi
-        # an infinite or NaN phase, or a NaN tolphase, certifies nothing
-        if not (math.isfinite(phase) and abs(math.remainder(phase, TWO_PI)) <= tolphase):
+        # an infinite or NaN phase, or a NaN window or one of pi or more, certifies nothing
+        if not (math.isfinite(phase) and abs(math.remainder(phase, TWO_PI)) <= tolphase < math.pi):
             return False
     return True
 
@@ -236,16 +241,25 @@ def _ratio_to_fraction(ratio: float, max_denominator: int, accuracy: float) -> F
 def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
     """Decide perfect state transfer for H and return the certificate (T, phi).
 
-    Checks mirror symmetry within tol * ||H||_inf, solves the spectrum at
-    the default separation of `eigenvalues` (1e-12 * ||H||_inf), which it
-    equals bit for bit, reconstructs each gap ratio r_k = Delta_k / Delta_0
-    as a rational c/d, reduces to the least common odd scaling (T Delta_k
-    must be odd multiples of pi), and fixes phi from the lowest eigenvalue.
-    The ratio test reads tol as the mirror test does: c/d must lie within
-    a_k = min(1, tol * ||H||_inf * (1 + r_k) / Delta_0) of r_k, the error
-    of r_k when Delta_k and Delta_0 are each off by tol * ||H||_inf, and
+    Every test reads tol one way, as tau = tol * ||H||_inf.  It checks
+    mirror symmetry within tau, solves the spectrum at the separation tau,
+    equal bit for bit to eigenvalues(H, tol) and its tolerance,
+    reconstructs each gap ratio r_k = Delta_k / Delta_0 as a rational c/d,
+    reduces to the least common odd scaling (T Delta_k must be odd
+    multiples of pi), and fixes phi from the lowest eigenvalue.  c/d must
+    lie within a_k = min(1, tau * (1 + r_k) / Delta_0) of r_k, the error
+    of r_k when Delta_k and Delta_0 are each off by tau, and
     d <= a_k^(-1/2), as every real lies within 1/d^2 of a convergent c/d,
     so a larger d could match by chance.
+    The phases T lambda_k + phi must then lie within 4 T tau of
+    (N + k) pi modulo 2 pi (`check_pst1_spectrum`).  Why 4: let each
+    lambda_k lie within tau of a spectrum that transfers at T* with the
+    same odd multiples M_k, so T* (lambda*_k - lambda*_0) = M_k pi.  Then
+    T (lambda_k - lambda_0) - M_k pi takes 2 T tau from lambda_k - lambda_0,
+    and at most 2 T tau more from T itself, which is read off the measured
+    span; so a spectrum within tau of a transfer always passes.  Where
+    4 T tau reaches pi the check can tell no phase from another, and
+    IncommensurableSpectrum is raised.
     The gaps are taken in the scaled units of the chain, exact where
     those of H would round in the subnormals.  Every tolerance is relative
     to H, so 2^k H gives T / 2^k and the same phi; OutOfRange is raised
@@ -258,7 +272,7 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
     sym_tol = tol * s.norm / s.factor  # tol * ||H||_inf
     if not is_persymmetric(H, sym_tol):
         raise NotPersymmetric(f"matrix is not mirror symmetric within {sym_tol:.3e}")
-    spectrum = _spectrum(prepared)
+    spectrum = _spectrum(prepared, tol)
     lams = spectrum.eigenvalues
     top = len(lams) - 1
     if top == 0:
@@ -280,9 +294,7 @@ def verify_pst(H: JacobiMatrix, tol: float = 1e-12) -> PstCertificate:
         if not math.isfinite(T):  # the gaps are commensurable, but no double holds T
             raise OutOfRange(f"T = {sum(odd_multiples)} pi / (lambda_N - lambda_0) lies past the largest double")
     phi = ((top % 2) * math.pi - T * lams[0]) % TWO_PI
-    spectral_radius = max(abs(lams[0]), abs(lams[-1]))
-    tolphase = 1e-8 * (1.0 + abs(T) * spectral_radius)
-    if not check_pst1_spectrum(spectrum, T, phi, tolphase):
+    if not check_pst1_spectrum(spectrum, T, phi, 4 * T * spectrum.tolerance):
         raise IncommensurableSpectrum(
             "reconstructed transfer time fails the phase alignment check; "
             "the spectrum is not commensurable at the requested accuracy"

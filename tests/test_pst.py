@@ -645,7 +645,7 @@ class TestScaleFree:
         try:
             cert = verify_pst(h)
             assert cert.spectrum.eigenvalues == found
-            assert check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, 1e-8 * (1 + cert.T * max(map(abs, found))))
+            assert check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, 4 * cert.T * cert.spectrum.tolerance)
         except PalinfracError as exc:
             assert not isinstance(exc, InternalCheckFailed)
         times = (0.0, 1e300, 2.0**1023)
@@ -795,6 +795,80 @@ class TestPhaseCheck:
         assert not check_pst1_spectrum(spectrum, math.pi / 2, 0.0, 1e-9)
         single = Spectrum((0.0,), 1e-9)
         assert check_pst1_spectrum(single, 1.0, 0.0, 1e-12)
+
+    @pytest.mark.parametrize("window", [math.pi, math.inf])
+    def test_a_window_of_pi_certifies_nothing(self, chain3, window):
+        # every phase lies within pi of (N + k) pi modulo 2 pi
+        cert = verify_pst(chain3)
+        assert check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, 4 * cert.T * cert.spectrum.tolerance)
+        assert not check_pst1_spectrum(cert.spectrum, cert.T, cert.phi, window)
+
+
+def fraction_design(gaps) -> JacobiMatrix:
+    """The mirror chain designed on the spectrum with these exact gaps,
+    centred in Fractions and rounded once."""
+    lams = [Fraction(0)]
+    for gap in gaps:
+        lams.append(lams[-1] + gap)
+    return design_persymmetric(Spectrum([float(lam - lams[-1] / 2) for lam in lams], 1e-9))
+
+
+def drift_design(n: int, share: float) -> JacobiMatrix:
+    """The n-site design whose first half of the gaps is 1 + delta and the
+    rest 1 - delta, delta = share * 1e-12 ||H||_inf of the unit-gap design:
+    each gap ratio is within its accuracy, their sum is not."""
+    norm = float(np.abs(gap_design([1] * (n - 1)).dense()).sum(axis=1).max())
+    delta = share * 1e-12 * norm
+    half = (n - 1) // 2
+    return gap_design([1 + delta] * half + [1 - delta] * (n - 1 - half))
+
+
+def dense_fidelity(h: JacobiMatrix, t: float) -> float:
+    """|<e_N| e^{itH} e_0>|^2 by numpy's dense eigensolver."""
+    w, v = np.linalg.eigh(h.dense())
+    return float(abs((np.exp(1j * t * w) * v[0]) @ v[-1]) ** 2)
+
+
+# gaps 1 : 99991/99989 : 99997/99999 : 99971/99973 are odd multiples of pi / T
+# only for T ~ 3.1e15, where a phase error of eps ||H|| grows to radians
+GAPS_99991 = [1, Fraction(99991, 99989), Fraction(99997, 99999), Fraction(99971, 99973)]
+GAPS_10001 = [1, Fraction(10001, 10003), Fraction(10007, 10009), Fraction(10011, 10013)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestPhaseBudget:
+    """The phase check reads the certificate's own tolerance: every phase
+    within 4 T tol ||H||_inf, where a fixed 1e-8 (1 + T max |lambda|)
+    passed any phase once T max |lambda| exceeded 3e8."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-15])
+    def test_a_transfer_time_past_the_resolution_is_not_certified(self, tol):
+        # the fixed window, 6.3e7 rad, certified T = 3.1404e15, where dense
+        # evolution reaches the far end with fidelity 0.516
+        with pytest.raises(IncommensurableSpectrum, match="phase alignment"):
+            verify_pst(fraction_design(GAPS_99991), tol)
+
+    def test_a_transfer_time_within_the_resolution_of_tol(self):
+        h = fraction_design(GAPS_10001)
+        # at tol 1e-12 the budget is 31 rad: the fixed window was 6.3e4 rad
+        with pytest.raises(IncommensurableSpectrum, match="phase alignment"):
+            verify_pst(h)
+        cert = verify_pst(h, 1e-15)
+        assert cert.T == pytest.approx(float.fromhex("0x1.6ea4fece5082fp+41"), rel=1e-12)  # 3.1495e12
+        assert dense_fidelity(h, cert.T) >= 1 - 1e-5
+
+    def test_a_cumulative_drift_is_not_transfer(self):
+        # each gap ratio 1 +- 2 delta is within its accuracy, but the phases
+        # drift by 20 delta T: 1.65e-10 against a budget of 1.32e-10
+        with pytest.raises(IncommensurableSpectrum, match="phase alignment"):
+            verify_pst(drift_design(21, 0.5))
+        assert verify_pst(drift_design(21, 0.2)).T == pytest.approx(math.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
+    @pytest.mark.parametrize("chain", ["krawtchouk", "odd-gap"])
+    def test_the_certificate_spectrum_is_that_of_eigenvalues_at_tol(self, chain, tol):
+        h = krawtchouk(16) if chain == "krawtchouk" else gap_design([1, 3, 5, 1, 3, 5, 3, 1, 5])
+        assert verify_pst(h, tol).spectrum == eigenvalues(h, tol)
 
 
 def fraction_reconstruction(ratio: float, max_denominator: int, accuracy: float) -> Fraction:

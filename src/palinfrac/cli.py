@@ -14,7 +14,7 @@ to the input, ||H||_inf of a chain or max |lambda| of a spectrum:
 separation PALINFRAC_TOL * max |lambda| (max |lambda| = 1 for the zero
 spectrum), at least the smallest double and at most the largest.  A
 file's own "tolerance" is that separation, absolute, as `jacobi eig`
-prints it.
+prints it.  The design certifies its eigenvalues within that separation.
 
 The float layers (and numpy with them) are imported inside the four
 commands that need them, `jacobi eig` and `pst verify|design|simulate`,

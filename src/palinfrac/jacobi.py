@@ -42,7 +42,8 @@ reads it as it is, with the eigenbasis (`_eigenbasis`).  The eigenbasis
 asks one separation, 1e-12 ||H||_inf, of two eigenvalues whose vectors
 are not orthogonal by construction: on a whole chain any two, on a fold
 two of one kind.  `_unfold`, the inverse of `_fold`, builds the chain
-from its symmetric half for the design.
+from its symmetric half for the design, which certifies the chain on the
+bracket counter of the multisection (`_counter`).
 
 The private kernels work in one unit, that of the scaled chain
 (`_Scaled`): the counts take scaled shifts, the multisection returns
@@ -61,7 +62,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -471,28 +472,40 @@ def _prepare(H: JacobiMatrix) -> tuple[_Scaled, _Fold | None]:
     return s, _fold(s) if H.size > 1 and is_persymmetric(H, 0.0) else None
 
 
+def _counter(prepared: tuple[_Scaled, _Fold | None]) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The bracket counter of a chain from `_prepare`: index, and count,
+    which maps an N x K array of shifts scaled as the chain (row k those
+    of bracket k) to the counts that bracket reads.  Eigenvalue k lies in
+    [x, y] where count(x)[k] <= index[k] < count(y)[k], an exact hit
+    counting as below.  On a whole chain index[k] is k.  On a fold the
+    kinds alternate and the top eigenvector is symmetric (`_kinds`), so
+    eigenvalue k of H is eigenvalue k // 2 of its half, and its bracket
+    counts in that half alone (`_count_folded`).
+    """
+    s, fold = prepared
+    index = np.arange(len(s.diag))
+    if fold is None:
+        return index, lambda x: _count_less(s, x)
+    symmetric = np.zeros((index.size, 1), dtype=bool)
+    symmetric[_kinds(index.size)[0]] = True
+    return index // 2, lambda x: _count_folded(fold, x, symmetric)
+
+
 def _multisection(prepared: tuple[_Scaled, _Fold | None]) -> np.ndarray:
     """The ascending eigenvalues of a chain from `_prepare`, scaled as its
     `_Scaled` form, by the multisection of `eigenvalues`; an eigenvalue
     within the pivot guard pivmin is +0.0.
 
-    Bracket k holds the eigenvalue that count(x)[k] passes index[k] at,
-    where count maps an N x K array of shifts (row k those of bracket k)
-    to the counts that bracket reads.  On a fold the kinds alternate and
-    the top eigenvector is symmetric (`_kinds`), so eigenvalue k of H is
-    eigenvalue k // 2 of its half, and its bracket counts in that half
-    alone; the results agree with those of the whole chain to a few ulps
-    of ||H||_inf, as the halves round differently.
+    Bracket k holds eigenvalue k, and narrows on the counter of the
+    chain (`_counter`), whole or folded; on a fold the results agree with
+    those of the whole chain to a few ulps of ||H||_inf, as the halves
+    round differently.
     """
-    s, fold = prepared
+    s, _ = prepared
     n = len(s.diag)
     if n == 1:
         return np.array(s.diag)
-    index, count = np.arange(n), lambda x: _count_less(s, x)
-    if fold is not None:
-        symmetric = np.zeros((n, 1), dtype=bool)
-        symmetric[_kinds(n)[0]] = True
-        index, count = index // 2, lambda x: _count_folded(fold, x, symmetric)
+    index, count = _counter(prepared)
     pad = 16 * sys.float_info.epsilon * s.norm
     # Split the keys of the bracket ends, not their values: the bracket
     # holds fewer than 2^64 doubles, so every root is done within 64 / b

@@ -45,14 +45,18 @@ The recurrence coefficients are S read from the mirror outwards; reversed
 and unfolded by `jacobi._unfold`, the inverse of the fold, they give a
 chain mirrored exactly.  The
 construction is not taken on faith: it validates its own contract before
-returning, persymmetry entry by entry and the spectrum of the whole chain
-by a two-count certificate, one pivot count at every lambda_k - delta and
-lambda_k + delta, with no bisection.  The construction runs on the
-spectrum scaled by the power of 2 that brings max |lambda| into [1/2, 1),
-and the count on the chain scaled as `jacobi` scales it, so neither can
-overflow, and every threshold is relative to the spectrum at any scale.
-Likewise every default tolerance of `verify_pst` and `evolve` is relative
-to ||H||_inf, with no floor at 1.
+returning, on one budget, delta = spectrum.tolerance, the resolution the
+Spectrum says it is trusted to.  The chain is prepared as `jacobi`
+prepares any chain, and must fold, as only an exact mirror does; each
+eigenvalue must then lie within delta of its target, by the bracket
+invariant of the multisection (`jacobi._counter`) at every
+lambda_k - delta and lambda_k + delta, counted on the fold, with no
+bisection.  The construction runs on the spectrum scaled by the power of
+2 that brings max |lambda| into [1/2, 1), and the count on the chain
+scaled as `jacobi` scales it, so neither can overflow, and the collapse
+threshold is relative to the spectrum at any scale.  Likewise every
+default tolerance of `verify_pst` and `evolve` is relative to ||H||_inf,
+with no floor at 1.
 """
 
 from __future__ import annotations
@@ -76,12 +80,11 @@ from .errors import (
 from .jacobi import (
     JacobiMatrix,
     Spectrum,
-    _count_less,
+    _counter,
     _eigenbasis,
     _kinds,
     _multisection,
     _prepare,
-    _scaled,
     _spectrum,
     _unfold,
     is_persymmetric,
@@ -110,7 +113,8 @@ class PstCertificate:
     spectrum: Spectrum
 
     def to_json_obj(self) -> dict:
-        return {"T": self.T, "phi": self.phi, "eigenvalues": list(self.spectrum.eigenvalues)}
+        spectrum = self.spectrum  # its tolerance as `jacobi eig` prints it
+        return {"T": self.T, "phi": self.phi, "eigenvalues": list(spectrum.eigenvalues), "tolerance": spectrum.tolerance}
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,8 +196,7 @@ def evolve(H: JacobiMatrix, times: Sequence[float]) -> AmplitudeTrace:
 
 def fidelity(H: JacobiMatrix, t: float) -> float:
     """Probability |<e_N| e^{itH} e_0>|^2 of finding the excitation at the far end."""
-    amplitude = evolve(H, (t,)).amplitudes[0]
-    return float(abs(amplitude[-1]) ** 2)
+    return float(abs(evolve(H, (t,)).amplitudes[0, -1]) ** 2)
 
 
 def check_pst1_spectrum(spectrum: Spectrum, T: float, phi: float, tolphase: float) -> bool:
@@ -326,21 +329,31 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     [1/2, 1), and the chain is multiplied by 2^e at the end, so a spectrum
     spread near the largest double cannot overflow and the design of
     2^k lambda is 2^k times that of lambda.  The result is validated
-    against the contract (persymmetry within 1e-10, eigenvalues within
-    delta = 1e-8, both times max |lambda|); InternalCheckFailed names the
-    first index that fails.  Entries that fall below the normal doubles
-    round, which can move an eigenvalue by up to 1.5 * 2^-1074; where
-    delta is below twice 2^-1074 (max |lambda| below about 1e-315) that
-    alone can miss the contract, so a miss there is OutOfRange.
+    against the contract at delta = spectrum.tolerance: the chain must be
+    an exact mirror, which `jacobi._prepare` folds (`_unfold` mirrors
+    every entry, and ldexp by one exponent rounds mirrored entries
+    alike), and every eigenvalue must lie within delta of its target.
+    The design reaches max(16 eps max |lambda|, 2 * 2^-1074): its
+    eigenvalues lie within a few eps max |lambda| of the targets, and
+    entries that fall below the normal doubles round, which can move an
+    eigenvalue by up to 1.5 * 2^-1074.  A miss at a delta below that reach
+    is OutOfRange, naming delta and the reach; any other miss is
+    InternalCheckFailed.  Both name the first index that fails.
 
-    The eigenvalues are certified, not recomputed: one Sturm count of the
-    returned chain, in the scaled units `jacobi` counts it in, at the 2N
-    shifts lambda_k -+ delta, each times the power of 2 of that scaling,
-    which cannot overflow.  count(lambda_k - delta) <= k says that at most
-    k eigenvalues lie below lambda_k - delta, and k < count(lambda_k + delta)
-    that at least k + 1 lie below lambda_k + delta, so the k-th eigenvalue
-    lies in [lambda_k - delta, lambda_k + delta] (Sylvester's law of
-    inertia; an exact hit counts as below).  No gap condition is needed.
+    The eigenvalues are certified, not recomputed: one count of the
+    returned chain on its fold, by the bracket counter of the multisection
+    (`jacobi._counter`), in the scaled units `jacobi` counts it in, at the
+    2N shifts lambda_k -+ delta, each times the power of 2 of that
+    scaling, which cannot overflow.  Eigenvalue k of the chain is
+    eigenvalue index[k] = k // 2 of its half of one kind, and
+    count(lambda_k - delta)[k] <= index[k] says that at most index[k]
+    eigenvalues of that half lie below lambda_k - delta, and
+    index[k] < count(lambda_k + delta)[k] that at least index[k] + 1 lie
+    below lambda_k + delta, so that eigenvalue lies in
+    [lambda_k - delta, lambda_k + delta] (Sylvester's law of inertia; an
+    exact hit counts as below).  The halves hold every eigenvalue of the
+    chain, each within delta of its own target, so the k-th in ascending
+    order lies within delta of lambda_k too.  No gap condition is needed.
     """
     lams = np.asarray(spectrum.eigenvalues, dtype=float)
     n = lams.size
@@ -349,8 +362,6 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     scale = float(np.abs(lams).max())  # > 0, as n >= 2
     e = math.frexp(scale)[1]
     mus = np.ldexp(lams, -e)  # in (-1, 1): gaps, weights and Lanczos cannot overflow
-    if float(np.diff(mus).min()) <= 1e-14:
-        raise DegenerateSpectrum("eigenvalues too close to resolve the weight formula")
 
     # the eigenvalues of S and of A, and the weights of S at its mirror-end
     # site, w_j^2 ~ |P_A(mu_j)| / |P_S'(mu_j)|, summed as logarithms
@@ -377,22 +388,20 @@ def design_persymmetric(spectrum: Spectrum) -> JacobiMatrix:
     # for even n, trace S - trace A = 2 b_{m-1}
     diag, off = _unfold(diag[::-1], off[::-1], n, float(sym.sum() - anti.sum()) / 2)
     designed = JacobiMatrix(np.ldexp(diag, e), np.ldexp(off, e))
-    if not is_persymmetric(designed, 1e-10 * scale):
-        raise InternalCheckFailed("designed matrix failed its persymmetry contract")
-    delta = 1e-8 * scale
     # the chain as returned, rounded where it lies below the normal doubles, in jacobi's units
-    s = _scaled(designed)
-    below, above = _count_less(s, lams * s.factor + np.array([[-delta], [delta]]) * s.factor)
-    index = np.arange(n)
+    s, fold = prepared = _prepare(designed)
+    if fold is None:  # only an exact mirror folds
+        raise InternalCheckFailed("designed matrix failed its persymmetry contract")
+    delta = spectrum.tolerance
+    index, count = _counter(prepared)
+    below, above = count(lams[:, None] * s.factor + np.array([-delta, delta]) * s.factor).T
     missed = np.flatnonzero((below > index) | (above <= index))
     if missed.size:
-        k = int(missed[0])
-        # rounding the chain into doubles moves an eigenvalue by up to 1.5 * 2^-1074,
-        # more than a delta that small can absorb
-        error = InternalCheckFailed if delta >= 2 * math.ulp(0.0) else OutOfRange
-        raise error(
-            f"designed matrix failed its spectrum contract at eigenvalue {k}: "
-            f"{below[k]} eigenvalues lie below {lams[k]:.17g} - {delta:.3e} and {above[k]} "
-            f"below {lams[k]:.17g} + {delta:.3e}, where at most {k} and more than {k} are due"
+        # below the reach rounding alone can miss delta, a domain error and not a fault
+        k, reach = int(missed[0]), max(16 * np.finfo(float).eps * scale, 2 * math.ulp(0.0))
+        raise (OutOfRange if delta < reach else InternalCheckFailed)(
+            f"designed matrix failed its spectrum contract at eigenvalue {k}: {below[k]} eigenvalues of its half "
+            f"chain lie below {lams[k]:.17g} - {delta:.3e} and {above[k]} below {lams[k]:.17g} + {delta:.3e}, "
+            f"where at most {index[k]} and more than {index[k]} are due; the design reaches {reach:.3e}"
         )
     return designed

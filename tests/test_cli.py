@@ -237,6 +237,9 @@ class TestPst:
         assert payload["T"] == pytest.approx(math.pi, abs=1e-10)
         assert payload["phi"] == pytest.approx(math.pi, abs=1e-10)
         assert payload["eigenvalues"] == pytest.approx([-1.0, 0.0, 1.0], abs=1e-12)
+        # the certificate's spectrum, tolerance included, is the one jacobi eig prints
+        spectrum = out_json(runner.invoke(main, ["jacobi", "eig", files["chain"]]))
+        assert {name: payload[name] for name in ("eigenvalues", "tolerance")} == spectrum
 
     def test_verify_not_persymmetric(self, runner, files):
         result = runner.invoke(main, ["pst", "verify", files["skew"]])

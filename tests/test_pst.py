@@ -221,8 +221,7 @@ class TestFoldedPath:
             calls["fold"] += 1
             return fold(s)
 
-        for module in (jacobi_module, pst_module):
-            monkeypatch.setattr(module, "_scaled", counting_scaled)
+        monkeypatch.setattr(jacobi_module, "_scaled", counting_scaled)
         monkeypatch.setattr(jacobi_module, "_fold", counting_fold)
         h = krawtchouk(n)
         verify_pst(h)
@@ -230,6 +229,10 @@ class TestFoldedPath:
         calls.update(scaled=0, fold=0)
         evolve(h, (0.0, 1.0))
         assert calls == {"scaled": 1, "fold": int(n > 1)}
+        # the design prepares the chain it returns once, and counts it on its fold
+        calls.update(scaled=0, fold=0)
+        design_persymmetric(equally_spaced(n))
+        assert calls == {"scaled": int(n > 1), "fold": int(n > 1)}
 
 
 class TestEvolve:
@@ -404,23 +407,20 @@ class TestDesign:
         assert cert.T == pytest.approx(math.pi, rel=1e-12)
         assert fidelity(h, cert.T) >= 1.0 - 1e-8
 
-    def test_eigenvalues_too_close_for_the_weights(self):
-        # gaps of 2e-14 are 5e-15 on mu = lambda / 4, at or below 1e-14
-        with pytest.raises(DegenerateSpectrum, match="too close"):
-            design_persymmetric(Spectrum((-2.0, -2e-14, 0.0, 2e-14, 2.0), 1e-16))
-
     def test_collapsed_measure(self):
-        # S holds -2, 0 and 2; A's eigenvalues +-1e-13 leave the middle one a
-        # squared weight of 2.5e-27, and the Lanczos basis collapses
-        with pytest.raises(DegenerateSpectrum, match="collapsed"):
-            design_persymmetric(Spectrum((-2.0, -1e-13, 0.0, 1e-13, 2.0), 1e-16))
+        # S holds -2, 0 and 2; A's eigenvalues +-1e-13 (or +-2e-14) leave the
+        # middle one a squared weight of 2.5e-27 (or 1e-28), and the Lanczos
+        # basis collapses
+        for inner in (1e-13, 2e-14):
+            with pytest.raises(DegenerateSpectrum, match="collapsed"):
+                design_persymmetric(Spectrum((-2.0, -inner, 0.0, inner, 2.0), 1e-16))
 
 
 def equally_spaced(n: int) -> Spectrum:
     return Spectrum([k - (n - 1) / 2 for k in range(n)], 1e-9)
 
 
-DELTA_12 = 1e-8 * 5.5  # the certificate's half-width for equally_spaced(12)
+DELTA_12 = 1e-9  # the certificate's half-width for equally_spaced(12), its tolerance
 MAX_DOUBLE = sys.float_info.max
 
 
@@ -460,6 +460,18 @@ class TestDesignCertificate:
         assert is_persymmetric(h, 0.0)
         assert np.abs(np.linalg.eigvalsh(h.dense()) - lams).max() <= 1e-12 * float(np.abs(lams).max())
 
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_design_verify_round_trip_at_one_tolerance(self, n):
+        # one relative tolerance for both: the design certifies its eigenvalues
+        # within tol max |lambda|, and verify_pst certifies the chain at tol
+        tol = 1e-12
+        gaps = [int(gap) for gap in np.random.default_rng(n).choice((1, 3, 5), size=n - 1)]
+        lams = np.cumsum([0.0, *gaps]) - sum(gaps) / 2
+        scale = float(np.abs(lams).max())
+        cert = verify_pst(design_persymmetric(Spectrum(lams, tol * scale)), tol)
+        assert cert.T == pytest.approx(math.pi / math.gcd(*gaps), rel=1e-12)
+        assert np.abs(np.asarray(cert.spectrum.eigenvalues) - lams).max() <= 2 * tol * scale
+
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("seed", range(4))
     def test_two_cluster_designs(self, n, seed):
@@ -476,47 +488,79 @@ class TestDesignCertificate:
     @pytest.mark.parametrize("move", [-3.0, 3.0])
     def test_moved_eigenvalue_is_caught_at_its_index(self, k, move, monkeypatch):
         # shifting both counts of lambda_k by move * delta certifies lambda_k + move * delta instead
-        count = pst_module._count_less
+        counter = pst_module._counter
 
-        def moved(s, shifts):
-            shifts = np.array(shifts)
-            shifts[:, k] += move * DELTA_12 * s.factor  # the count takes scaled shifts
-            return count(s, shifts)
+        def moved(prepared):
+            index, count = counter(prepared)
 
-        monkeypatch.setattr(pst_module, "_count_less", moved)
+            def count_moved(shifts):
+                shifts = np.array(shifts)
+                shifts[k] += move * DELTA_12 * prepared[0].factor  # row k: the bracket of lambda_k, scaled
+                return count(shifts)
+
+            return index, count_moved
+
+        monkeypatch.setattr(pst_module, "_counter", moved)
         with pytest.raises(InternalCheckFailed, match=rf"at eigenvalue {k}:"):
             design_persymmetric(equally_spaced(12))
 
     def test_eigenvalue_moved_within_delta_passes(self, monkeypatch):
-        count = pst_module._count_less
-        monkeypatch.setattr(
-            pst_module, "_count_less", lambda s, x: count(s, np.asarray(x) + 0.5 * DELTA_12 * s.factor)
-        )
+        counter = pst_module._counter
+
+        def moved(prepared):
+            index, count = counter(prepared)
+            return index, lambda x: count(np.asarray(x) + 0.5 * DELTA_12 * prepared[0].factor)
+
+        monkeypatch.setattr(pst_module, "_counter", moved)
         design_persymmetric(equally_spaced(12))
 
     @pytest.mark.parametrize("row, change", [(0, 1), (1, -1)])
     def test_count_off_by_one_is_caught(self, row, change, monkeypatch):
-        count = pst_module._count_less
+        counter = pst_module._counter
 
-        def off_by_one(s, shifts):
-            counts = count(s, shifts)
-            counts[row, 7] += change
-            return counts
+        def off_by_one(prepared):
+            index, count = counter(prepared)
 
-        monkeypatch.setattr(pst_module, "_count_less", off_by_one)
+            def count_off(shifts):
+                counts = count(shifts)
+                counts[7, row] += change  # the count at lambda_7 - delta (0) or + delta (1)
+                return counts
+
+            return index, count_off
+
+        monkeypatch.setattr(pst_module, "_counter", off_by_one)
         with pytest.raises(InternalCheckFailed, match="at eigenvalue 7:"):
             design_persymmetric(equally_spaced(12))
 
     def test_perturbed_design_is_caught(self, monkeypatch):
         # the chain's diagonal raised by 3 delta keeps it persymmetric and
         # moves every eigenvalue by 3 delta; the first index fails
-        scaled = pst_module._scaled
+        prepare = pst_module._prepare
 
         def perturbed(h):
-            return scaled(JacobiMatrix([a + 3 * DELTA_12 for a in h.diag], h.offdiag))
+            return prepare(JacobiMatrix([a + 3 * DELTA_12 for a in h.diag], h.offdiag))
 
-        monkeypatch.setattr(pst_module, "_scaled", perturbed)
+        monkeypatch.setattr(pst_module, "_prepare", perturbed)
         with pytest.raises(InternalCheckFailed, match="at eigenvalue 0:"):
+            design_persymmetric(equally_spaced(12))
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_design_off_by_more_than_its_tolerance_is_caught(self, n, monkeypatch):
+        # the returned chain moved by 1e-9 max |lambda|, within 1e-8 max |lambda|
+        # but not within the spectrum's tolerance 1e-12 max |lambda|
+        lams = np.arange(n) - (n - 1) / 2
+        scale = float(np.abs(lams).max())
+        prepare = pst_module._prepare
+        monkeypatch.setattr(
+            pst_module, "_prepare", lambda h: prepare(JacobiMatrix([a + 1e-9 * scale for a in h.diag], h.offdiag))
+        )
+        with pytest.raises(InternalCheckFailed, match="at eigenvalue 0:"):
+            design_persymmetric(Spectrum(lams, 1e-12 * scale))
+
+    def test_a_chain_that_does_not_fold_is_caught(self, monkeypatch):
+        prepare = pst_module._prepare
+        monkeypatch.setattr(pst_module, "_prepare", lambda h: (prepare(h)[0], None))
+        with pytest.raises(InternalCheckFailed, match="persymmetry contract"):
             design_persymmetric(equally_spaced(12))
 
 
@@ -569,14 +613,14 @@ class TestDesignScale:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_power_of_two_equivariance(self, seed):
-        # with max |lambda| >= 1 the scale is max |lambda|, and 2^600 scales it exactly
+        # 2^600 scales the spectrum and its tolerance exactly
         rng = random.Random(seed)
         spread = 2.0 ** rng.uniform(0, 30)
         inner = [rng.uniform(-spread, spread) for _ in range(rng.randint(1, 40))]
         lams = sorted([rng.choice((-spread, spread)), *inner])
-        big = 2.0**600
-        h = design_persymmetric(Spectrum(lams, 1e-12))
-        h_big = design_persymmetric(Spectrum([big * lam for lam in lams], 1e-12))
+        big, tol = 2.0**600, 1e-12 * spread
+        h = design_persymmetric(Spectrum(lams, tol))
+        h_big = design_persymmetric(Spectrum([big * lam for lam in lams], big * tol))
         assert h_big.diag == tuple(big * a for a in h.diag)
         assert h_big.offdiag == tuple(big * b for b in h.offdiag)
 
@@ -607,9 +651,10 @@ def scaled_by_power_of_two(h: JacobiMatrix, k: int) -> JacobiMatrix:
     return JacobiMatrix(np.ldexp(h.diag, k), np.ldexp(h.offdiag, k))
 
 
-def krawtchouk_spectrum(n: int, k: int) -> Spectrum:
-    """The Krawtchouk spectrum times 2^k (exact), at the finest separation."""
-    return Spectrum(np.ldexp(np.arange(n) - (n - 1) / 2, k), math.ulp(0.0))
+def krawtchouk_spectrum(n: int, k: int, tolerance: float = math.ulp(0.0)) -> Spectrum:
+    """The Krawtchouk spectrum times 2^k (exact), at the finest separation
+    unless a tolerance is given."""
+    return Spectrum(np.ldexp(np.arange(n) - (n - 1) / 2, k), tolerance)
 
 
 @pytest.mark.filterwarnings("error")
@@ -624,8 +669,9 @@ class TestScaleFree:
         assert eigenvalues(h_k).eigenvalues == tuple(np.ldexp(eigenvalues(h).eigenvalues, k))
         cert, cert_k = verify_pst(h), verify_pst(h_k)
         assert (cert_k.T, cert_k.phi) == (math.ldexp(cert.T, -k), cert.phi)
-        designed = design_persymmetric(krawtchouk_spectrum(n, 0))
-        assert design_persymmetric(krawtchouk_spectrum(n, k)) == scaled_by_power_of_two(designed, k)
+        # the tolerance 2^-40 max |lambda| scales with the spectrum, exactly
+        designed = design_persymmetric(krawtchouk_spectrum(n, 0, 2.0**-40))
+        assert design_persymmetric(krawtchouk_spectrum(n, k, 2.0 ** (k - 40))) == scaled_by_power_of_two(designed, k)
         times = (0.0, 1.0, math.pi / 2, math.pi)
         trace, trace_k = evolve(h, times), evolve(h_k, np.ldexp(times, -k))
         assert np.abs(trace_k.amplitudes - trace.amplitudes).max() <= 1e-12
@@ -660,7 +706,9 @@ class TestScaleFree:
             assert is_persymmetric(designed, 0.0)
             lams = np.ldexp(spectrum.eigenvalues, up)
             found_up = eigenvalues(scaled_by_power_of_two(designed, up)).eigenvalues
-            assert np.abs(np.asarray(found_up) - lams).max() <= 1e-8 * np.abs(lams).max()
+            # certified within the tolerance 2^-1074, found to a few ulps of the chain
+            slack = 16 * sys.float_info.epsilon * np.abs(lams).max()
+            assert np.abs(np.asarray(found_up) - lams).max() <= math.ldexp(spectrum.tolerance, up) + slack
         except PalinfracError as exc:
             assert not isinstance(exc, InternalCheckFailed)
 
@@ -705,10 +753,19 @@ class TestScaleFree:
         assert spectrum.tolerance == pytest.approx(1e-12 * 2e-310, abs=math.ulp(0.0))  # 1e-12 ||H||_inf
 
     @pytest.mark.parametrize("k", [-1060, -1070])
-    def test_design_contract_below_the_smallest_double_is_out_of_range(self, k):
-        # 1e-8 max |lambda| underflows: rounding the chain into doubles alone can miss it
-        with pytest.raises(OutOfRange, match="spectrum contract"):
-            design_persymmetric(krawtchouk_spectrum(5, k))
+    def test_design_below_the_smallest_double_certifies(self, k):
+        # the chain rounds in the subnormals, and its spectrum still lies
+        # within the finest tolerance, 2^-1074, of the target
+        designed = design_persymmetric(krawtchouk_spectrum(5, k))
+        assert is_persymmetric(designed, 0.0)
+
+    @pytest.mark.parametrize("n", [5, 16, 17])
+    def test_tolerance_below_the_reach_is_out_of_range(self, n):
+        # 2^-1074 is far below 16 eps max |lambda|, the reach of the design
+        reach = 16 * sys.float_info.epsilon * (n - 1) / 2
+        message = rf"spectrum contract at eigenvalue \d+: .* - 4\.941e-324 .*; the design reaches {reach:.3e}$"
+        with pytest.raises(OutOfRange, match=message):
+            design_persymmetric(krawtchouk_spectrum(n, 0))
 
     def test_eigenvector_errors_are_relative_to_the_chain(self):
         # both numbers were divided back by the scale factor 2^1023 and printed

@@ -407,13 +407,17 @@ class TestDesign:
         assert cert.T == pytest.approx(math.pi, rel=1e-12)
         assert fidelity(h, cert.T) >= 1.0 - 1e-8
 
+    def test_eigenvalues_too_close_for_the_weights(self):
+        # gaps of 2e-14 leave the middle eigenvalue of S a squared weight of
+        # 1e-28; with no separate gap check, the Lanczos collapse check rejects it
+        with pytest.raises(DegenerateSpectrum, match="collapsed"):
+            design_persymmetric(Spectrum((-2.0, -2e-14, 0.0, 2e-14, 2.0), 1e-16))
+
     def test_collapsed_measure(self):
-        # S holds -2, 0 and 2; A's eigenvalues +-1e-13 (or +-2e-14) leave the
-        # middle one a squared weight of 2.5e-27 (or 1e-28), and the Lanczos
-        # basis collapses
-        for inner in (1e-13, 2e-14):
-            with pytest.raises(DegenerateSpectrum, match="collapsed"):
-                design_persymmetric(Spectrum((-2.0, -inner, 0.0, inner, 2.0), 1e-16))
+        # S holds -2, 0 and 2; A's eigenvalues +-1e-13 leave the middle one a
+        # squared weight of 2.5e-27, and the Lanczos basis collapses
+        with pytest.raises(DegenerateSpectrum, match="collapsed"):
+            design_persymmetric(Spectrum((-2.0, -1e-13, 0.0, 1e-13, 2.0), 1e-16))
 
 
 def equally_spaced(n: int) -> Spectrum:
